@@ -1,11 +1,12 @@
 """Reference algorithms the fair engine is benchmarked against.
 
-revenue_max solves the pure revenue LP (integral corners for the same
-structural reason as the round LPs). randomized assigns services by fair
-coin, restarting on dead ends. The branch-and-bound routines solve the
-quantized lexicographic objective as an explicit integer program; on these
-instances the root relaxation is already integral, so they measure what
-enforcing integrality costs rather than finding different answers.
+revenue_max solves the revenue objective as a rectangular assignment
+problem (scipy's sparse Jonker-Volgenant matching). randomized assigns
+services by fair coin, restarting on dead ends. The branch-and-bound
+routines solve the quantized lexicographic objective as an explicit integer
+program; on these instances the root relaxation is already integral, so
+they measure what enforcing integrality costs rather than finding
+different answers.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import InfeasibleError, InvariantError
 from .lex_transform import (
@@ -26,13 +29,12 @@ from .lex_transform import (
     round_to_plan,
     selection_rows,
 )
-from .fass import select_min_payment_request
+from .fass import FassConfig, freeze_rounds
 from .model import (
     AssignmentPlan,
     PaymentVector,
     Scenario,
     payment_vector,
-    request_payment,
     saturating_matching,
 )
 from .simplex import LPSolution, StandardLP, solve
@@ -70,40 +72,34 @@ class IPResult:
     nodes: int
 
 
-def revenue_max(scenario: Scenario, *, pivot_rule: str = "dantzig") -> AssignmentPlan:
-    """Assignment maximizing total payments, via the relaxed selection LP."""
-    matching = saturating_matching(scenario)
-    if matching is None:
+def revenue_max(scenario: Scenario) -> AssignmentPlan:
+    """Assignment maximizing total payments.
+
+    Payments are a + b - b*q/baseline when served, so maximizing their sum
+    is minimizing sum(b*q/baseline) over the chosen pairs: a minimum-weight
+    full matching of requests (rows) to services (columns) over the
+    authorized pairs.
+    """
+    services = list(scenario.services())
+    if scenario.num_requests > len(services):
         raise InfeasibleError("no assignment can serve every request")
-    active = list(range(scenario.num_requests))
-    triples = candidate_triples(scenario, active)
-    services = sorted({(i, j) for _, i, j in triples})
-    rows = selection_rows(triples, active, services, len(triples))
-    # maximizing sum(a + b - b*q/baseline * x) == minimizing sum(b*q/baseline * x)
-    cost = np.empty(len(triples))
-    for t, (n, i, j) in enumerate(triples):
-        req = scenario.requests[n]
-        cost[t] = req.max_bonus * scenario.qos(i, j) / req.qos_baseline
-    lp = StandardLP(num_vars=len(triples), objective=cost, rows=rows)
-
-    col_of = {triple: t for t, triple in enumerate(triples)}
-    basis = np.empty(len(rows), dtype=np.int64)
-    for row, n in enumerate(active):
-        basis[row] = col_of[(n, *matching[n])]
-    for k in range(len(services)):
-        basis[len(active) + k] = len(triples) + k
-    solution = solve(lp, initial_basis=basis, pivot_rule=pivot_rule)
-    if solution.status != "optimal":
-        raise InvariantError(f"revenue LP came back {solution.status}")
-
-    x = np.rint(solution.values)
-    if np.max(np.abs(solution.values - x)) > 1e-6:
-        raise InvariantError("revenue LP returned a fractional corner")
-    choices = {}
-    for t in np.flatnonzero(x == 1):
-        n, i, j = triples[int(t)]
-        choices[n] = (i, j)
-    return AssignmentPlan(choices)
+    column = {svc.key: c for c, svc in enumerate(services)}
+    indptr, indices, weights = [0], [], []
+    for n, req in enumerate(scenario.requests):
+        for svc in scenario.candidate_pool(n):
+            indices.append(column[svc.key])
+            # every full matching has one edge per request, so the +1 leaves
+            # the optimum in place; it keeps weights non-zero (zero = no edge)
+            weights.append(1.0 + req.max_bonus * svc.qos / req.qos_baseline)
+        indptr.append(len(indices))
+    graph = csr_array((weights, indices, indptr), shape=(scenario.num_requests, len(services)))
+    try:
+        rows, cols = min_weight_full_bipartite_matching(graph)
+    except ValueError as exc:
+        if "no full matching" not in str(exc):
+            raise
+        raise InfeasibleError("no assignment can serve every request") from None
+    return AssignmentPlan({int(n): services[c].key for n, c in zip(rows, cols)})
 
 
 def randomized(scenario: Scenario, seed: int, max_restarts: int = 1000) -> AssignmentPlan:
@@ -271,7 +267,7 @@ def ip_branch_and_bound(
     else:
         triples = candidate_triples(scenario, active)
         services = sorted({(i, j) for _, i, j in triples})
-        rows = selection_rows(triples, active, services, len(triples))
+        rows = selection_rows(triples, active, services)
         cost = np.empty(len(triples))
         for t, (n, i, j) in enumerate(triples):
             req = scenario.requests[n]
@@ -308,37 +304,26 @@ def ip_iterative(
     node). Produces the same plan on these instances; exists as the timing
     reference for what the relaxation-based engine saves.
     """
-    if saturating_matching(scenario) is None:
-        raise InfeasibleError("no assignment can serve every request")
-    active = list(range(scenario.num_requests))
-    frozen: dict[int, tuple[int, int]] = {}
     branches = 0
     nodes = 0
-    while active:
-        removed = set(frozen.values())
-        n_triples = len(candidate_triples(scenario, active, excluded_services=removed))
-        cap = effective_range_cap(range_cap, n_triples, None)
-        quant = quantize(scenario, active, step, cap, excluded_services=removed)
-        lp, layout = build_reduced_subproblem_lp(scenario, frozen, active, quant)
+
+    def cold_branch_and_bound(lp, layout, matching):
+        nonlocal branches, nodes
         result = branch_and_bound_lp(
             lp, range(lp.num_vars), lex_costs=layout.lex_cost_rows(), lex_exact=True
         )
-        if result.status != "optimal":
-            raise InvariantError("round IP found no integral solution")
         branches += result.branches
         nodes += result.nodes
-        solution = LPSolution(
-            status="optimal", values=result.values, objective_value=result.objective_value
+        return LPSolution(
+            status=result.status, values=result.values, objective_value=result.objective_value
         )
-        plan_round = round_to_plan(solution, layout, frozen)
-        payments = {n: request_payment(plan_round, scenario, n) for n in active}
-        n_star = select_min_payment_request(payments)
-        frozen[n_star] = plan_round.choices[n_star]
-        active.remove(n_star)
-    plan = AssignmentPlan(frozen)
+
+    result = freeze_rounds(
+        scenario, FassConfig(step=step, range_cap=range_cap), cold_branch_and_bound
+    )
     return IPResult(
-        plan=plan,
-        payments=payment_vector(plan, scenario),
+        plan=result.plan,
+        payments=result.payments,
         objective_value=math.nan,
         branches=branches,
         nodes=nodes,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -264,14 +263,3 @@ def timing_to_csv(rows: Iterable[TimingRow]) -> str:
 
 def write_timing_csv(rows: Iterable[TimingRow], path: str) -> None:
     write_text(path, timing_to_csv(rows))
-
-
-def summarize_ratio(rows: Iterable[TimingRow]) -> dict[int, float]:
-    """ip/fass wall-time ratio per ladder point."""
-    fass = {r.vars: r.mean_ms for r in rows if r.algorithm == "fass"}
-    ip = {r.vars: r.mean_ms for r in rows if r.algorithm == "ip"}
-    return {
-        v: ip[v] / fass[v] if fass[v] > 0 else math.inf
-        for v in sorted(fass)
-        if v in ip
-    }

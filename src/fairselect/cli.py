@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: solve, oracle-check, sweep, bench, gen. Exit codes: 0 on
-success, 2 infeasible input, 3 malformed input or usage, 4 internal
-invariant violation (non-integral LP, broken constraint structure,
-oracle mismatch).
+success, 2 infeasible input, 3 malformed input, usage or an out-of-range
+numeric argument, 4 internal invariant violation (non-integral LP, broken
+constraint structure, oracle mismatch).
 """
 
 from __future__ import annotations
@@ -103,12 +103,8 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle_check(args) -> int:
     scenario = load_scenario(args.scenario)
     result = run_fass(scenario, FassConfig(step=args.step, range_cap=args.range_cap))
-    try:
-        report = brute_force_mmf(scenario)
-    except ValueError as exc:
-        # enumeration cap: the exhaustive check only works at desk scale
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+    # above its enumeration cap brute force raises ValueError: exit 3
+    report = brute_force_mmf(scenario)
     ours = result.payments.sorted_view
     best = report.optimal_sorted
     tol = args.step + 1e-9
@@ -241,7 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NonIntegralSolutionError, InvariantError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: an argument out of range (--step 0, --runs 0, a scenario
+        # above oracle-check's enumeration cap, ...)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 

@@ -6,10 +6,11 @@ payment at its chosen service and removes that service from every other
 pool. With N requests the engine runs exactly N rounds; frozen payments
 never decrease by more than one grid step between rounds.
 
-The round LP is solved in reduced (weight-eliminated) form by default and
-warm-started from a known feasible matching: round 1 uses the feasibility
-check's matching, later rounds reuse the previous round's selection
-restricted to the surviving requests, which is always still feasible.
+`freeze_rounds` is that loop with the round solver passed in. `run_fass`
+hands it the simplex warm-started from a known feasible matching: round 1
+uses the feasibility check's matching, later rounds reuse the previous
+round's selection restricted to the surviving requests, which is always
+still feasible.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .lex_transform import (
     LambdaLayout,
     assignment_block,
     build_reduced_subproblem_lp,
-    build_subproblem_lp,
     candidate_triples,
     effective_range_cap,
     quantize,
@@ -42,7 +42,7 @@ from .model import (
     request_payment,
     saturating_matching,
 )
-from .simplex import solve
+from .simplex import LPSolution, StandardLP, solve
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,13 @@ class FassConfig:
     step: float = 0.01
     range_cap: int = 100
     k_base: int | None = None  # fixed objective base instead of per-round count
-    solve_mode: str = "reduced"  # "reduced" | "full"
     pivot_rule: str = "dantzig"
-    integrality_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.solve_mode not in ("reduced", "full"):
-            raise ValueError(f"unknown solve_mode {self.solve_mode!r}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be a positive finite number, got {self.step}")
+        if self.range_cap < 1:
+            raise ValueError(f"range_cap must be at least 1, got {self.range_cap}")
 
 
 @dataclass(frozen=True)
@@ -99,21 +99,8 @@ def select_min_payment_request(payments: Mapping[int, float]) -> int:
     return min(payments, key=lambda n: (payments[n], n))
 
 
-def reduce_solution_space(
-    pools: Mapping[int, frozenset[tuple[int, int]]],
-    n_star: int,
-    choice: tuple[int, int],
-) -> dict[int, frozenset[tuple[int, int]]]:
-    """Drop the frozen request and its service from the remaining pools."""
-    if n_star not in pools:
-        raise ValueError(f"request {n_star} is not active")
-    if choice not in pools[n_star]:
-        raise ValueError(f"service {choice} is not available to request {n_star}")
-    return {n: pool - {choice} for n, pool in pools.items() if n != n_star}
-
-
 def _crash_basis(layout: LambdaLayout, matching: Mapping[int, tuple[int, int]]) -> np.ndarray:
-    """Feasible starting basis for the reduced LP from a known matching.
+    """Feasible starting basis for a round LP from a known matching.
 
     Row i's basic column: the matched x column for request rows, the row's
     own slack for capacity rows. The basis matrix is triangular, so the
@@ -131,9 +118,32 @@ def _crash_basis(layout: LambdaLayout, matching: Mapping[int, tuple[int, int]]) 
     return basis
 
 
+# (lp, layout, warm-start matching of the active requests) -> optimal solution
+RoundSolver = Callable[[StandardLP, LambdaLayout, Mapping[int, tuple[int, int]]], LPSolution]
+
+
 def run_fass(scenario: Scenario, config: FassConfig | None = None) -> FassResult:
     """Compute the max-min fair assignment; returns (plan, payments, trace)."""
     config = config or FassConfig()
+
+    def warm_simplex(lp, layout, matching):
+        return solve(
+            lp,
+            initial_basis=_crash_basis(layout, matching),
+            pivot_rule=config.pivot_rule,
+            lex_costs=layout.lex_cost_rows(),
+            lex_exact=True,
+        )
+
+    return freeze_rounds(scenario, config, warm_simplex)
+
+
+def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolver) -> FassResult:
+    """The engine loop: solve a round, freeze its worst-paid request, repeat.
+
+    solve_round answers each round's LP; a solution that is not optimal is
+    an invariant violation, because a saturating matching exists.
+    """
     if scenario.num_requests == 0:
         raise ValueError("scenario has no requests")
     matching = saturating_matching(scenario)
@@ -152,16 +162,9 @@ def run_fass(scenario: Scenario, config: FassConfig | None = None) -> FassResult
         n_triples = len(candidate_triples(scenario, active, excluded_services=removed))
         cap = effective_range_cap(config.range_cap, n_triples, config.k_base)
         quant = quantize(scenario, active, config.step, cap, excluded_services=removed)
-        if config.solve_mode == "reduced":
-            lp, layout = build_reduced_subproblem_lp(
-                scenario, frozen, active, quant, k_override=config.k_base
-            )
-            basis = _crash_basis(layout, matching)
-        else:
-            lp, layout = build_subproblem_lp(
-                scenario, frozen, active, quant, k_override=config.k_base
-            )
-            basis = None
+        lp, layout = build_reduced_subproblem_lp(
+            scenario, frozen, active, quant, k_override=config.k_base
+        )
         ok, bad_col = verify_row_partition(
             assignment_block(lp, layout), layout.num_request_rows
         )
@@ -169,13 +172,7 @@ def run_fass(scenario: Scenario, config: FassConfig | None = None) -> FassResult
             raise InvariantError(f"selection rows lost their two-block structure at column {bad_col}")
 
         t0 = time.perf_counter()
-        solution = solve(
-            lp,
-            initial_basis=basis,
-            pivot_rule=config.pivot_rule,
-            lex_costs=layout.lex_cost_rows(),
-            lex_exact=config.solve_mode == "reduced",
-        )
+        solution = solve_round(lp, layout, matching)
         solve_ms = (time.perf_counter() - t0) * 1000.0
         if solution.status != "optimal":
             # a saturating matching exists, so the LP cannot be infeasible or unbounded
@@ -183,7 +180,7 @@ def run_fass(scenario: Scenario, config: FassConfig | None = None) -> FassResult
 
         x_block = solution.values[: layout.num_triples]
         integrality_gap = float(np.max(np.abs(x_block - np.rint(x_block))))
-        plan_round = round_to_plan(solution, layout, frozen, tol=config.integrality_tol)
+        plan_round = round_to_plan(solution, layout, frozen)
         payments = {n: request_payment(plan_round, scenario, n) for n in active}
         n_star = select_min_payment_request(payments)
         choice = plan_round.choices[n_star]

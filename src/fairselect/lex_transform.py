@@ -8,12 +8,10 @@ candidate pairs. Lower payments map to exponentially larger weights, so
 the minimizer lexicographically maximizes the sorted payments.
 
 Each term takes one of two values depending on whether the pair is
-selected, so it linearizes with a pair of interpolation weights per
-candidate: weight0 + weight1 = 1, x = weight1, objective contribution
-coeff0 * weight0 + coeff1 * weight1. `build_subproblem_lp` emits that full
-form; `build_reduced_subproblem_lp` substitutes the weights out (exact:
-weight1 = x, weight0 = 1 - x) and is what the solver loop actually runs,
-since it has 3x fewer columns and no coupling rows.
+selected: coeff0 unselected, coeff1 selected. With x the 0/1 selection
+variable that is coeff0 + (coeff1 - coeff0) * x, so one round is an LP over
+the selection columns alone with objective sum((coeff1 - coeff0) * x); the
+constant sum(coeff0) is kept aside as the layout's offset.
 
 Grid levels are shifted so the maximum is 0: all objective coefficients
 then live in [1, K**span], which keeps them inside double range for any
@@ -145,12 +143,10 @@ def quantize(
 class LambdaLayout:
     """Column/row map for one subproblem LP.
 
-    x columns come first (one per candidate triple, sorted order); in full
-    mode the weight0 block and weight1 block follow. Constraint rows are:
-    one equality per active request, one <=1 row per referenced service,
-    then (full mode) per-triple coupling rows. `offset` is the constant
-    dropped from the reduced objective, so
-    full objective value == reduced objective value + offset.
+    One x column per candidate triple, in sorted order. Constraint rows are
+    one equality per active request, then one <=1 row per referenced
+    service. `offset` is the constant sum(coeff0) dropped from the LP
+    objective, so LP objective value + offset == scalar level objective.
 
     levels0/levels1 are the integer grid levels behind coeff0/coeff1;
     coeff = K**(-level). They feed lex_cost_rows, which the engine prices
@@ -165,7 +161,6 @@ class LambdaLayout:
     coeff1: np.ndarray
     levels0: np.ndarray
     levels1: np.ndarray
-    mode: str  # "full" | "reduced"
     request_row_ids: tuple[int, ...]
     provider_row_services: tuple[tuple[int, int], ...]
     offset: float
@@ -173,19 +168,6 @@ class LambdaLayout:
     @property
     def num_triples(self) -> int:
         return len(self.triples)
-
-    def x_col(self, t: int) -> int:
-        return t
-
-    def w0_col(self, t: int) -> int:
-        if self.mode != "full":
-            raise ValueError("reduced layout has no weight columns")
-        return self.num_triples + t
-
-    def w1_col(self, t: int) -> int:
-        if self.mode != "full":
-            raise ValueError("reduced layout has no weight columns")
-        return 2 * self.num_triples + t
 
     @property
     def num_request_rows(self) -> int:
@@ -201,28 +183,56 @@ class LambdaLayout:
         Minimizing the rows lexicographically equals minimizing the scalar
         objective for every valid base (K at least the candidate count),
         because each row's dot product is bounded by the candidate count.
-        Column t of the reduced form carries +1 at its selected level and
-        -1 at its unselected level; the full form puts +1 on the weight
-        columns instead.
+        Column t carries +1 at its selected level and -1 at its unselected
+        level.
         """
         T = self.num_triples
         deepest = int(min(self.levels0.min(), self.levels1.min()))
         num_levels = 1 - deepest  # levels run deepest..0
-        num_cols = T if self.mode == "reduced" else 3 * T
-        rows = np.zeros((num_levels, num_cols))
-        row0 = self.levels0 - deepest
-        row1 = self.levels1 - deepest
-        if self.mode == "reduced":
-            np.add.at(rows, (row1, np.arange(T)), 1.0)
-            np.add.at(rows, (row0, np.arange(T)), -1.0)
-        else:
-            rows[row0, T + np.arange(T)] = 1.0
-            rows[row1, 2 * T + np.arange(T)] = 1.0
+        rows = np.zeros((num_levels, T))
+        np.add.at(rows, (self.levels1 - deepest, np.arange(T)), 1.0)
+        np.add.at(rows, (self.levels0 - deepest, np.arange(T)), -1.0)
         return rows
 
 
-def _prepare(scenario, frozen, active_requests, quant, k_override):
-    """Shared validation + structure for both LP builders."""
+def selection_rows(
+    triples: Sequence[Triple],
+    active: Sequence[int],
+    services: Sequence[tuple[int, int]],
+) -> list[tuple[np.ndarray, str, float]]:
+    """One-service-per-request equalities plus per-service capacity rows."""
+    rows: list[tuple[np.ndarray, str, float]] = []
+    by_request: dict[int, list[int]] = {n: [] for n in active}
+    by_service: dict[tuple[int, int], list[int]] = {s: [] for s in services}
+    for t, (n, i, j) in enumerate(triples):
+        by_request[n].append(t)
+        by_service[(i, j)].append(t)
+    num_cols = len(triples)
+    for n in active:
+        coeffs = np.zeros(num_cols)
+        coeffs[by_request[n]] = 1.0
+        rows.append((coeffs, "=", 1.0))
+    for s in services:
+        coeffs = np.zeros(num_cols)
+        coeffs[by_service[s]] = 1.0
+        rows.append((coeffs, "<=", 1.0))
+    return rows
+
+
+def build_reduced_subproblem_lp(
+    scenario: Scenario,
+    frozen: Mapping[int, tuple[int, int]],
+    active_requests: Sequence[int],
+    quant: QuantizedPayments,
+    *,
+    k_override: int | None = None,
+) -> tuple[StandardLP, LambdaLayout]:
+    """Selection LP for one round.
+
+    Columns: one x per candidate. Rows: request equalities, then service
+    capacities. Objective sum((coeff1 - coeff0) * x); the constant
+    sum(coeff0) lands in layout.offset.
+    """
     active = sorted(set(active_requests))
     if not active:
         raise ValueError("no active requests: nothing to optimize")
@@ -258,66 +268,7 @@ def _prepare(scenario, frozen, active_requests, quant, k_override):
     coeff1 = float(K) ** (-levels[:, 1]).astype(float)
 
     services = sorted({(i, j) for _, i, j in triples})
-    return active, triples, K, coeff0, coeff1, levels, services
-
-
-def selection_rows(
-    triples: Sequence[Triple],
-    active: Sequence[int],
-    services: Sequence[tuple[int, int]],
-    num_cols: int,
-) -> list[tuple[np.ndarray, str, float]]:
-    """One-service-per-request equalities plus per-service capacity rows.
-
-    x columns are assumed to be 0..len(triples)-1 within num_cols.
-    """
-    rows: list[tuple[np.ndarray, str, float]] = []
-    by_request: dict[int, list[int]] = {n: [] for n in active}
-    by_service: dict[tuple[int, int], list[int]] = {s: [] for s in services}
-    for t, (n, i, j) in enumerate(triples):
-        by_request[n].append(t)
-        by_service[(i, j)].append(t)
-    for n in active:
-        coeffs = np.zeros(num_cols)
-        coeffs[by_request[n]] = 1.0
-        rows.append((coeffs, "=", 1.0))
-    for s in services:
-        coeffs = np.zeros(num_cols)
-        coeffs[by_service[s]] = 1.0
-        rows.append((coeffs, "<=", 1.0))
-    return rows
-
-
-def build_subproblem_lp(
-    scenario: Scenario,
-    frozen: Mapping[int, tuple[int, int]],
-    active_requests: Sequence[int],
-    quant: QuantizedPayments,
-    *,
-    k_override: int | None = None,
-) -> tuple[StandardLP, LambdaLayout]:
-    """Full interpolation-weight LP for one round.
-
-    Columns: x block, weight0 block, weight1 block (3 per candidate).
-    Rows: request equalities, service capacities, then per candidate
-    x - weight1 = 0 and weight0 + weight1 = 1.
-    """
-    active, triples, K, coeff0, coeff1, levels, services = _prepare(
-        scenario, frozen, active_requests, quant, k_override
-    )
-    T = len(triples)
-    num_cols = 3 * T
-    rows = selection_rows(triples, active, services, num_cols)
-    for t in range(T):
-        couple = np.zeros(num_cols)
-        couple[t] = 1.0
-        couple[2 * T + t] = -1.0
-        rows.append((couple, "=", 0.0))
-        convex = np.zeros(num_cols)
-        convex[T + t] = 1.0
-        convex[2 * T + t] = 1.0
-        rows.append((convex, "=", 1.0))
-    objective = np.concatenate([np.zeros(T), coeff0, coeff1])
+    rows = selection_rows(triples, active, services)
     layout = LambdaLayout(
         triples=tuple(triples),
         K=K,
@@ -325,67 +276,15 @@ def build_subproblem_lp(
         coeff1=coeff1,
         levels0=levels[:, 0].copy(),
         levels1=levels[:, 1].copy(),
-        mode="full",
-        request_row_ids=tuple(active),
-        provider_row_services=tuple(services),
-        offset=0.0,
-    )
-    return StandardLP(num_vars=num_cols, objective=objective, rows=rows), layout
-
-
-def build_reduced_subproblem_lp(
-    scenario: Scenario,
-    frozen: Mapping[int, tuple[int, int]],
-    active_requests: Sequence[int],
-    quant: QuantizedPayments,
-    *,
-    k_override: int | None = None,
-) -> tuple[StandardLP, LambdaLayout]:
-    """Weight-eliminated equivalent of build_subproblem_lp.
-
-    Substituting weight1 = x and weight0 = 1 - x gives objective
-    sum(coeff0) + sum((coeff1 - coeff0) * x) over the same selection rows;
-    the constant lands in layout.offset. Optimal x values coincide with the
-    full form, which is what makes this safe to solve instead.
-    """
-    active, triples, K, coeff0, coeff1, levels, services = _prepare(
-        scenario, frozen, active_requests, quant, k_override
-    )
-    T = len(triples)
-    rows = selection_rows(triples, active, services, T)
-    layout = LambdaLayout(
-        triples=tuple(triples),
-        K=K,
-        coeff0=coeff0,
-        coeff1=coeff1,
-        levels0=levels[:, 0].copy(),
-        levels1=levels[:, 1].copy(),
-        mode="reduced",
         request_row_ids=tuple(active),
         provider_row_services=tuple(services),
         offset=float(math.fsum(coeff0)),
     )
-    return StandardLP(num_vars=T, objective=coeff1 - coeff0, rows=rows), layout
-
-
-def expand_reduced_solution(solution: LPSolution, layout: LambdaLayout) -> LPSolution:
-    """Lift a reduced-LP solution to the full column layout."""
-    if layout.mode != "reduced":
-        raise ValueError("expected a reduced layout")
-    if solution.status != "optimal" or solution.values is None:
-        return LPSolution(status=solution.status, iterations=solution.iterations)
-    x = solution.values
-    values = np.concatenate([x, 1.0 - x, x])
-    return LPSolution(
-        status="optimal",
-        values=values,
-        objective_value=solution.objective_value + layout.offset,
-        iterations=solution.iterations,
-    )
+    return StandardLP(num_vars=len(triples), objective=coeff1 - coeff0, rows=rows), layout
 
 
 def assignment_block(lp: StandardLP, layout: LambdaLayout) -> np.ndarray:
-    """Coefficient matrix of the request + capacity rows (coupling excluded)."""
+    """Coefficient matrix of the request + capacity rows."""
     count = layout.num_request_rows + layout.num_provider_rows
     return np.vstack([lp.rows[k][0] for k in range(count)])
 
@@ -439,11 +338,6 @@ def round_to_plan(
             column=worst,
             value=float(x[worst]),
         )
-    if layout.mode == "full":
-        w0 = solution.values[T : 2 * T]
-        w1 = solution.values[2 * T :]
-        if np.max(np.abs(w1 - x)) > 1e-7 or np.max(np.abs(w0 - (1.0 - x))) > 1e-7:
-            raise InvariantError("interpolation weights inconsistent with x")
     choices: dict[int, tuple[int, int]] = {}
     used = set(frozen.values())
     for t in np.flatnonzero(rounded == 1):

@@ -299,7 +299,9 @@ def saturating_matching(
 
     Augmenting-path search over the authorization bipartite graph; services
     in excluded_services are unavailable. Deterministic: requests and pools
-    are visited in index order.
+    are visited in index order. The depth-first search keeps its path on an
+    explicit stack, so long augmenting chains cannot exhaust the recursion
+    limit.
     """
     excluded = set(excluded_services)
     pools: dict[int, list[tuple[int, int]]] = {}
@@ -307,18 +309,34 @@ def saturating_matching(
         pools[n] = [s.key for s in scenario.candidate_pool(n) if s.key not in excluded]
     owner: dict[tuple[int, int], int] = {}
 
-    def try_assign(n: int, visited: set[tuple[int, int]]) -> bool:
-        for key in pools[n]:
-            if key in visited:
-                continue
-            visited.add(key)
-            if key not in owner or try_assign(owner[key], visited):
-                owner[key] = n
-                return True
+    def try_assign(root: int) -> bool:
+        visited: set[tuple[int, int]] = set()
+        # stack[d] = (request at depth d, its untried pool); keys[d] is the
+        # taken service that led from depth d to depth d + 1
+        stack = [(root, iter(pools[root]))]
+        keys: list[tuple[int, int]] = []
+        while stack:
+            n, pool = stack[-1]
+            for key in pool:
+                if key in visited:
+                    continue
+                visited.add(key)
+                if key not in owner:
+                    owner[key] = n
+                    for (m, _), taken in zip(stack, keys):
+                        owner[taken] = m
+                    return True
+                keys.append(key)
+                stack.append((owner[key], iter(pools[owner[key]])))
+                break
+            else:
+                stack.pop()
+                if keys:
+                    keys.pop()
         return False
 
     for n in range(scenario.num_requests):
-        if not try_assign(n, set()):
+        if not try_assign(n):
             return None
     return {n: key for key, n in owner.items()}
 

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,22 +313,25 @@ def parse_scenario_json(text: str) -> Scenario:
     return scenario
 
 
-def read_scenario_metadata(text: str) -> dict:
-    """Metadata block of a scenario document ({} if absent)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"not valid JSON: {exc}") from None
-    meta = doc.get("metadata", {}) if isinstance(doc, dict) else {}
-    return meta if isinstance(meta, dict) else {}
-
-
 def write_text(path: str, text: str) -> None:
-    """Atomic text write (temp file + rename)."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    """Atomic text write: a unique temp file beside the target, then rename.
+
+    The temp name is unique per call, so concurrent writers never share it;
+    a failed write removes its temp file. The result gets the permissions
+    a plain open() would give it (mkstemp creates files owner-only).
+    """
+    directory, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=f".{name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_scenario(scenario: Scenario, path: str, metadata: dict | None = None) -> None:

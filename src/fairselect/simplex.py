@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.blas import dger
 
-from .errors import InvariantError, NonIntegralSolutionError
+from .errors import InvariantError
 
 EPS_FEAS = 1e-9
 INTEGRALITY_TOL = 1e-6
@@ -88,36 +88,6 @@ class LPSolution:
     objective_value: float = math.nan
     iterations: int = 0
     basis: np.ndarray | None = None
-
-
-def dump_lp(lp: StandardLP) -> str:
-    """Plain-text dump: objective line, then one line per row."""
-
-    def fmt(v: float) -> str:
-        return f"{v:g}"
-
-    lines = ["min: " + " ".join(fmt(c) for c in lp.objective)]
-    for k, (coeffs, relation, rhs) in enumerate(lp.rows):
-        lines.append(f"r{k}: " + " ".join(fmt(c) for c in coeffs) + f" {relation} {fmt(rhs)}")
-    return "\n".join(lines)
-
-
-def extract_integral(solution: LPSolution, tol: float = INTEGRALITY_TOL) -> np.ndarray:
-    """Round an optimal solution to integers; error if any entry is off-grid."""
-    if solution.status != "optimal" or solution.values is None:
-        raise ValueError(f"cannot extract values from a {solution.status} solution")
-    values = np.asarray(solution.values, dtype=float)
-    rounded = np.rint(values)
-    gaps = np.abs(values - rounded)
-    worst = int(np.argmax(gaps)) if gaps.size else 0
-    if gaps.size and gaps[worst] > tol:
-        raise NonIntegralSolutionError(
-            f"variable {worst} = {values[worst]!r} is {gaps[worst]:.3e} from an integer "
-            f"(tolerance {tol:g})",
-            column=worst,
-            value=float(values[worst]),
-        )
-    return rounded.astype(np.int64)
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:

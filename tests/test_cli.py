@@ -174,3 +174,32 @@ def test_bench_smoke(dataset_file, tmp_path, capsys):
     assert lines[0] == "vars,algorithm,mean_ms,reps"
     assert len(lines) == 3
     assert main(["bench", "--dataset", dataset_file, "--ladder", "", "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "{scenario}", "--step", "0"],
+        ["solve", "{scenario}", "--step", "nan"],
+        ["solve", "{scenario}", "--step", "-1"],
+        ["solve", "{scenario}", "--range-cap", "0"],
+        ["solve", "{scenario}", "--range-cap", "-5"],
+        ["oracle-check", "{scenario}", "--step", "0"],
+        ["oracle-check", "{scenario}", "--step", "nan"],
+        ["oracle-check", "{scenario}", "--step", "-1"],
+        ["sweep", "--dataset", "{dataset}", "--levels", "4", "--runs", "0", "--out", "{out}"],
+        ["gen", "--dataset", "{dataset}", "--n", "0", "--m", "3", "--pool", "2", "--out", "{out}"],
+        [
+            "gen", "--dataset", "{dataset}", "--n", "4", "--m", "3", "--pool", "2",
+            "--density", "2", "--out", "{out}",
+        ],
+        ["bench", "--dataset", "{dataset}", "--ladder", "450", "--reps", "0", "--out", "{out}"],
+    ],
+)
+def test_bad_numeric_arguments_exit_3(args, scenario_file, dataset_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    argv = [a.format(scenario=scenario_file, dataset=dataset_file, out=out) for a in args]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -13,7 +13,7 @@ from fairselect import (
     check_feasible,
     run_fass,
 )
-from fairselect.fass import reduce_solution_space, select_min_payment_request
+from fairselect.fass import select_min_payment_request
 
 from conftest import (
     feasible_scenarios,
@@ -70,19 +70,6 @@ def test_select_min_payment_request():
         select_min_payment_request({0: math.nan})
 
 
-def test_reduce_solution_space():
-    pools = {
-        0: frozenset({(0, 0), (0, 1)}),
-        1: frozenset({(0, 0), (0, 1)}),
-    }
-    reduced = reduce_solution_space(pools, 0, (0, 1))
-    assert reduced == {1: frozenset({(0, 0)})}
-    with pytest.raises(ValueError):
-        reduce_solution_space(pools, 7, (0, 1))
-    with pytest.raises(ValueError):
-        reduce_solution_space(pools, 0, (9, 9))
-
-
 def test_freeze_payments_rise_and_cover_the_final_vector():
     for scenario in feasible_scenarios(grid_scenario, 25, seed=101):
         result = run_fass(scenario)
@@ -102,14 +89,6 @@ def test_deterministic_replay():
         r.request_id for r in second.trace.rounds
     ]
     assert first.payments.sorted_view == second.payments.sorted_view
-
-
-def test_full_mode_matches_reduced_mode_payments():
-    full = FassConfig(solve_mode="full")
-    for scenario in feasible_scenarios(grid_scenario, 15, seed=33):
-        reduced_sorted = run_fass(scenario).payments.sorted_view
-        full_sorted = run_fass(scenario, full).payments.sorted_view
-        assert np.allclose(reduced_sorted, full_sorted, atol=1e-9)
 
 
 def test_trace_records_are_coherent():
@@ -157,6 +136,7 @@ def test_bland_pivoting_gives_same_payments():
         assert np.allclose(dantzig, bland, atol=1e-12)
 
 
-def test_unknown_solve_mode_is_rejected():
-    with pytest.raises(ValueError):
-        FassConfig(solve_mode="dual")
+def test_out_of_range_config_is_rejected():
+    for kwargs in ({"step": 0.0}, {"step": -1.0}, {"step": math.nan}, {"step": math.inf}, {"range_cap": 0}):
+        with pytest.raises(ValueError):
+            FassConfig(**kwargs)

@@ -13,7 +13,6 @@ from fairselect import (
     NonIntegralSolutionError,
     QuantizedPayments,
     build_reduced_subproblem_lp,
-    build_subproblem_lp,
     effective_range_cap,
     enumerate_feasible,
     quantize,
@@ -24,7 +23,6 @@ from fairselect import (
 from fairselect.lex_transform import (
     assignment_block,
     candidate_triples,
-    expand_reduced_solution,
     round_to_plan,
 )
 from fairselect.simplex import LPSolution
@@ -137,27 +135,16 @@ def test_candidate_triples_order_and_exclusion():
         candidate_triples(scenario, [9])
 
 
-def test_full_lp_shape_on_two_request_scenario():
-    scenario = two_request_scenario()
-    quant = quantize(scenario, [0, 1], step=0.01)
-    lp, layout = build_subproblem_lp(scenario, {}, [0, 1], quant)
-    assert layout.mode == "full"
-    assert layout.num_triples == 4
-    assert layout.K == 4
-    assert lp.num_vars == 12  # x, weight0, weight1 per candidate
-    assert len(lp.rows) == 12  # 2 request + 2 capacity + 8 coupling
-    assert layout.request_row_ids == (0, 1)
-    assert layout.provider_row_services == ((0, 0), (0, 1))
-    assert np.all(lp.objective[:4] == 0.0)  # cost sits on the weight columns
-
-
 def test_reduced_lp_shape_and_offset():
     scenario = two_request_scenario()
     quant = quantize(scenario, [0, 1], step=0.01)
     lp, layout = build_reduced_subproblem_lp(scenario, {}, [0, 1], quant)
-    assert layout.mode == "reduced"
+    assert layout.num_triples == 4
+    assert layout.K == 4
+    assert layout.request_row_ids == (0, 1)
+    assert layout.provider_row_services == ((0, 0), (0, 1))
     assert lp.num_vars == 4
-    assert len(lp.rows) == 4
+    assert len(lp.rows) == 4  # 2 request + 2 capacity
     assert lp.objective == pytest.approx(layout.coeff1 - layout.coeff0)
     assert layout.offset == pytest.approx(float(np.sum(layout.coeff0)))
 
@@ -220,40 +207,10 @@ def test_single_candidate_selects_it():
     assert plan.choices == {0: (0, 0)}
 
 
-def coarse_pair(scenario, step=0.5):
-    """Full and reduced LPs with coefficients small enough for exact floats."""
+def coarse_lp(scenario, step=0.5):
+    """Round-1 LP with coefficients small enough for exact floats."""
     quant = quantize(scenario, list(range(scenario.num_requests)), step=step)
-    full = build_subproblem_lp(scenario, {}, list(range(scenario.num_requests)), quant)
-    reduced = build_reduced_subproblem_lp(scenario, {}, list(range(scenario.num_requests)), quant)
-    return full, reduced
-
-
-def test_full_mode_interpolation_weights_track_x():
-    (lp, layout), _ = coarse_pair(two_request_scenario())
-    solution = solve(lp)
-    assert solution.status == "optimal"
-    T = layout.num_triples
-    x = solution.values[:T]
-    assert solution.values[2 * T :] == pytest.approx(x, abs=1e-9)
-    assert solution.values[T : 2 * T] == pytest.approx(1.0 - x, abs=1e-9)
-    plan = round_to_plan(solution, layout, {})  # exercises the weight check
-    assert sorted(plan.choices) == [0, 1]
-
-
-def test_reduced_lp_is_equivalent_to_full():
-    (full_lp, full_layout), (red_lp, red_layout) = coarse_pair(two_request_scenario())
-    full = solve(full_lp)
-    reduced = solve(red_lp)
-    assert reduced.objective_value + red_layout.offset == pytest.approx(
-        full.objective_value, abs=1e-9
-    )
-    assert round_to_plan(full, full_layout, {}).choices == round_to_plan(
-        reduced, red_layout, {}
-    ).choices
-    lifted = expand_reduced_solution(reduced, red_layout)
-    assert lifted.objective_value == pytest.approx(full.objective_value, abs=1e-9)
-    with pytest.raises(ValueError):
-        expand_reduced_solution(full, full_layout)
+    return build_reduced_subproblem_lp(scenario, {}, list(range(scenario.num_requests)), quant)
 
 
 def plan_objective(plan, layout):
@@ -267,7 +224,7 @@ def plan_objective(plan, layout):
 
 def test_lp_optimum_matches_best_enumerated_plan():
     scenario = two_request_scenario()
-    (_, _), (red_lp, layout) = coarse_pair(scenario)
+    red_lp, layout = coarse_lp(scenario)
     plans = list(enumerate_feasible(scenario))
     assert plans
     solution = solve(red_lp)
@@ -368,15 +325,14 @@ def test_round_to_plan_invariant_violations():
 def test_lex_cost_rows_reconstruct_the_scalar_objective():
     scenario = two_request_scenario()
     quant = quantize(scenario, [0, 1], step=0.5)
-    for builder in (build_reduced_subproblem_lp, build_subproblem_lp):
-        lp, layout = builder(scenario, {}, [0, 1], quant)
-        rows = layout.lex_cost_rows()
-        deepest = int(min(layout.levels0.min(), layout.levels1.min()))
-        assert rows.shape == (1 - deepest, lp.num_vars)
-        weights = np.array(
-            [float(layout.K) ** (-(deepest + r)) for r in range(rows.shape[0])]
-        )
-        assert weights @ rows == pytest.approx(lp.objective, rel=1e-12)
+    lp, layout = build_reduced_subproblem_lp(scenario, {}, [0, 1], quant)
+    rows = layout.lex_cost_rows()
+    deepest = int(min(layout.levels0.min(), layout.levels1.min()))
+    assert rows.shape == (1 - deepest, lp.num_vars)
+    weights = np.array(
+        [float(layout.K) ** (-(deepest + r)) for r in range(rows.shape[0])]
+    )
+    assert weights @ rows == pytest.approx(lp.objective, rel=1e-12)
 
 
 def test_k_override_changes_the_base():

@@ -217,3 +217,48 @@ def test_feasibility_agrees_with_matching_test():
             seen_infeasible += 1
             assert plans == []
     assert seen_feasible > 0 and seen_infeasible > 0
+
+
+def recursive_saturating_matching(scenario):
+    """Reference: the recursive augmenting-path search saturating_matching ports."""
+    pools = {n: [s.key for s in scenario.candidate_pool(n)] for n in range(scenario.num_requests)}
+    owner = {}
+
+    def try_assign(n, visited):
+        for key in pools[n]:
+            if key in visited:
+                continue
+            visited.add(key)
+            if key not in owner or try_assign(owner[key], visited):
+                owner[key] = n
+                return True
+        return False
+
+    for n in range(scenario.num_requests):
+        if not try_assign(n, set()):
+            return None
+    return {n: key for key, n in owner.items()}
+
+
+def test_saturating_matching_matches_the_recursive_reference():
+    rng = random.Random(7)
+    for _ in range(300):
+        scenario = random_scenario(rng, max_requests=6, max_providers=5, max_pool=2)
+        ours = saturating_matching(scenario)
+        reference = recursive_saturating_matching(scenario)
+        assert ours == reference
+        if ours is not None:
+            assert list(ours.items()) == list(reference.items())
+
+
+def test_saturating_matching_survives_a_long_augmenting_chain():
+    # request n may use provider n-1 or n, one service each: assigning request
+    # n walks an alternating path through every earlier request
+    n = 1500
+    scenario = make_scenario(
+        pools=[[1.0]] * n,
+        requests=[({max(k - 1, 0), k}, 1.0, 1.0, 2.0) for k in range(n)],
+    )
+    matching = saturating_matching(scenario)
+    assert matching is not None and len(matching) == n
+    assert check_feasible(AssignmentPlan(matching), scenario) == []

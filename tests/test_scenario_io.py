@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import random
 
 import numpy as np
@@ -28,8 +29,8 @@ from fairselect.scenario_io import (
     TRACE_CSV_HEADER,
     matrix_to_text,
     plan_to_csv,
-    read_scenario_metadata,
     trace_to_csv,
+    write_text,
 )
 
 from conftest import feasible_scenarios, random_scenario, two_request_scenario
@@ -144,8 +145,6 @@ def test_scenario_json_round_trip():
         text = scenario_to_json(scenario, metadata={"note": "round trip"})
         again = parse_scenario_json(text)
         assert again == scenario
-        assert read_scenario_metadata(text) == {"note": "round trip"}
-    assert read_scenario_metadata(scenario_to_json(scenario)) == {}
 
 
 def test_scenario_json_parse_errors():
@@ -230,3 +229,19 @@ def test_trace_csv_layout(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(result.trace, str(path))
     assert path.read_text().splitlines()[0] == ",".join(TRACE_CSV_HEADER)
+
+
+def test_write_text_ignores_a_stray_temp_name(tmp_path):
+    # a fixed "<path>.tmp" name would collide with this directory
+    path = tmp_path / "out.csv"
+    (tmp_path / "out.csv.tmp").mkdir()
+    write_text(str(path), "a,b\n")
+    write_text(str(path), "c,d\n")
+    assert path.read_text() == "c,d\n"
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask  # as open() would create it
+    with pytest.raises(UnicodeEncodeError):
+        write_text(str(path), "\udc80")  # a failed write leaves no temp file behind
+    assert path.read_text() == "c,d\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]

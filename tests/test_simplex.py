@@ -6,12 +6,9 @@ from scipy.optimize import linprog
 
 from fairselect import (
     InvariantError,
-    NonIntegralSolutionError,
     StandardLP,
-    extract_integral,
     solve,
 )
-from fairselect.simplex import LPSolution, dump_lp
 
 
 def lp(objective, rows, **kw):
@@ -149,26 +146,6 @@ def test_bad_warm_basis_falls_back_to_phase_one():
     solution = solve(problem, initial_basis=[0])
     assert solution.status == "optimal"
     assert solution.objective_value == pytest.approx(2.0)
-
-
-def test_extract_integral():
-    solution = LPSolution(status="optimal", values=np.array([0.9999999, 0.0000001]))
-    assert extract_integral(solution).tolist() == [1, 0]
-    zero = LPSolution(status="optimal", values=np.zeros(3))
-    assert extract_integral(zero).tolist() == [0, 0, 0]
-    half = LPSolution(status="optimal", values=np.array([0.5]))
-    with pytest.raises(NonIntegralSolutionError) as info:
-        extract_integral(half, tol=1e-6)
-    assert info.value.column == 0
-    with pytest.raises(ValueError):
-        extract_integral(LPSolution(status="infeasible"))
-
-
-def test_dump_lp_layout():
-    text = dump_lp(lp([1.0, -1.0], [([1.0, 1.0], "<=", 2.0)]))
-    lines = text.splitlines()
-    assert lines[0].startswith("min:")
-    assert lines[1] == "r0: 1 1 <= 2"
 
 
 def assignment_lp():
