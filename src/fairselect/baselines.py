@@ -2,11 +2,10 @@
 
 revenue_max solves the revenue objective as a rectangular assignment
 problem (scipy's sparse Jonker-Volgenant matching). randomized assigns
-services by fair coin, restarting on dead ends. The branch-and-bound
-routines solve the quantized lexicographic objective as an explicit integer
-program; on these instances the root relaxation is already integral, so
-they measure what enforcing integrality costs rather than finding
-different answers.
+services by fair coin, restarting on dead ends. ip_iterative solves every
+freeze round of the fair engine as an explicit integer program; on these
+instances the root relaxation is already integral, so it measures what
+enforcing integrality costs rather than finding different answers.
 """
 
 from __future__ import annotations
@@ -20,24 +19,10 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .errors import InfeasibleError, InvariantError
-from .lex_transform import (
-    build_reduced_subproblem_lp,
-    candidate_triples,
-    effective_range_cap,
-    quantize,
-    round_to_plan,
-    selection_rows,
-)
+from .errors import InfeasibleError
 from .fass import FassConfig, freeze_rounds
-from .model import (
-    AssignmentPlan,
-    PaymentVector,
-    Scenario,
-    payment_vector,
-    saturating_matching,
-)
-from .simplex import LPSolution, StandardLP, solve
+from .model import AssignmentPlan, PaymentVector, Scenario, payment_vector
+from .simplex import INTEGRALITY_TOL, LPSolution, StandardLP, solve
 
 
 @dataclass(frozen=True)
@@ -67,7 +52,6 @@ class IPResult:
 
     plan: AssignmentPlan
     payments: PaymentVector
-    objective_value: float
     branches: int
     nodes: int
 
@@ -154,8 +138,6 @@ def branch_and_bound_lp(
     lp: StandardLP,
     integer_cols: Sequence[int],
     *,
-    tol: float = 1e-6,
-    pivot_rule: str = "dantzig",
     lex_costs: np.ndarray | None = None,
     lex_exact: bool = False,
 ) -> BnbResult:
@@ -181,10 +163,8 @@ def branch_and_bound_lp(
             num_vars=lp.num_vars,
             objective=lp.objective,
             rows=list(lp.rows) + [(c.copy(), rel, rhs) for c, rel, rhs in extra],
-            lower_bounds=lp.lower_bounds,
-            upper_bounds=lp.upper_bounds,
         )
-        solution = solve(node_lp, pivot_rule=pivot_rule, lex_costs=lex_costs, lex_exact=lex_exact)
+        solution = solve(node_lp, lex_costs=lex_costs, lex_exact=lex_exact)
         nodes += 1
         if solution.status == "unbounded":
             raise ValueError("relaxation is unbounded; cannot branch")
@@ -200,7 +180,7 @@ def branch_and_bound_lp(
                 continue
         fractional = None
         for j in integer_cols:
-            if abs(solution.values[j] - round(solution.values[j])) > tol:
+            if abs(solution.values[j] - round(solution.values[j])) > INTEGRALITY_TOL:
                 fractional = j
                 break
         if fractional is None:
@@ -226,68 +206,6 @@ def branch_and_bound_lp(
         objective_value=float(best_val),
         branches=branches,
         nodes=nodes,
-    )
-
-
-def ip_branch_and_bound(
-    scenario: Scenario,
-    objective: str = "xi",
-    *,
-    step: float = 0.01,
-    range_cap: int = 100,
-) -> IPResult:
-    """Solve one monolithic selection IP (no iterative freezing).
-
-    objective "xi" uses the round-1 quantized lexicographic weights,
-    "revenue" the revenue coefficients. Reported objective_value is the
-    lexicographic score in "xi" mode and the total revenue in "revenue"
-    mode. Useful as a timing and integrality reference; a single IP does
-    not perform the round-by-round fairness refinement.
-    """
-    if objective not in ("xi", "revenue"):
-        raise ValueError(f"unknown objective {objective!r}")
-    if saturating_matching(scenario) is None:
-        raise InfeasibleError("no assignment can serve every request")
-    active = list(range(scenario.num_requests))
-    if objective == "xi":
-        n_triples = len(candidate_triples(scenario, active))
-        cap = effective_range_cap(range_cap, n_triples, None)
-        quant = quantize(scenario, active, step, cap)
-        lp, layout = build_reduced_subproblem_lp(scenario, {}, active, quant)
-        result = branch_and_bound_lp(
-            lp, range(lp.num_vars), lex_costs=layout.lex_cost_rows(), lex_exact=True
-        )
-        if result.status != "optimal":
-            raise InvariantError("selection IP found no integral solution")
-        solution = LPSolution(
-            status="optimal", values=result.values, objective_value=result.objective_value
-        )
-        plan = round_to_plan(solution, layout, {})
-        value = result.objective_value + layout.offset
-    else:
-        triples = candidate_triples(scenario, active)
-        services = sorted({(i, j) for _, i, j in triples})
-        rows = selection_rows(triples, active, services)
-        cost = np.empty(len(triples))
-        for t, (n, i, j) in enumerate(triples):
-            req = scenario.requests[n]
-            cost[t] = req.max_bonus * scenario.qos(i, j) / req.qos_baseline
-        lp = StandardLP(num_vars=len(triples), objective=cost, rows=rows)
-        result = branch_and_bound_lp(lp, range(lp.num_vars))
-        if result.status != "optimal":
-            raise InvariantError("selection IP found no integral solution")
-        choices = {}
-        for t in np.flatnonzero(np.rint(result.values) == 1):
-            n, i, j = triples[int(t)]
-            choices[n] = (i, j)
-        plan = AssignmentPlan(choices)
-        value = math.fsum(payment_vector(plan, scenario).per_request)
-    return IPResult(
-        plan=plan,
-        payments=payment_vector(plan, scenario),
-        objective_value=value,
-        branches=result.branches,
-        nodes=result.nodes,
     )
 
 
@@ -324,7 +242,6 @@ def ip_iterative(
     return IPResult(
         plan=result.plan,
         payments=result.payments,
-        objective_value=math.nan,
         branches=branches,
         nodes=nodes,
     )

@@ -42,13 +42,6 @@ def payment_deviation(payments: PaymentVector) -> float:
     return float(np.std(np.asarray(payments.per_request)))
 
 
-def payment_spread(payments: PaymentVector) -> float:
-    """Max minus min payment; secondary dispersion measure."""
-    if len(payments.per_request) == 0:
-        raise ValueError("payment vector is empty")
-    return float(max(payments.per_request) - min(payments.per_request))
-
-
 @dataclass(frozen=True)
 class SweepRow:
     level: int

@@ -52,7 +52,6 @@ class FassConfig:
     step: float = 0.01
     range_cap: int = 100
     k_base: int | None = None  # fixed objective base instead of per-round count
-    pivot_rule: str = "dantzig"
 
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0):
@@ -130,7 +129,6 @@ def run_fass(scenario: Scenario, config: FassConfig | None = None) -> FassResult
         return solve(
             lp,
             initial_basis=_crash_basis(layout, matching),
-            pivot_rule=config.pivot_rule,
             lex_costs=layout.lex_cost_rows(),
             lex_exact=True,
         )

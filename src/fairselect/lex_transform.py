@@ -121,21 +121,25 @@ def quantize(
         payments[t, 0] = assignment_payment(req, svc, selected=False)
         payments[t, 1] = assignment_payment(req, svc, selected=True)
 
+    # levels stay float64 until they are shifted into [-range_cap, 0]: at a
+    # tiny step payment/step exceeds int64 or overflows to inf, and either
+    # fails the span test and doubles the step
     effective = float(step)
     doublings = 0
-    while True:
-        levels = np.rint(payments / effective).astype(np.int64)
-        if levels.max() - levels.min() <= range_cap:
-            break
-        effective *= 2.0
-        doublings += 1
-    shift = int(levels.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            levels = np.rint(payments / effective)
+            if levels.max() - levels.min() <= range_cap:
+                break
+            effective *= 2.0
+            doublings += 1
+    top = levels.max()
+    shifted = (levels - top).astype(np.int64)
     grid = {
-        triple: (int(levels[t, 0] - shift), int(levels[t, 1] - shift))
-        for t, triple in enumerate(triples)
+        triple: (int(shifted[t, 0]), int(shifted[t, 1])) for t, triple in enumerate(triples)
     }
     return QuantizedPayments(
-        step=effective, requested_step=float(step), shift=shift, doublings=doublings, grid=grid
+        step=effective, requested_step=float(step), shift=int(top), doublings=doublings, grid=grid
     )
 
 
@@ -317,13 +321,13 @@ def round_to_plan(
     solution: LPSolution,
     layout: LambdaLayout,
     frozen: Mapping[int, tuple[int, int]],
-    tol: float = INTEGRALITY_TOL,
 ) -> AssignmentPlan:
     """Read the integral selection out of an optimal subproblem solution.
 
-    Raises NonIntegralSolutionError if any x strays more than tol from
-    {0, 1}, and InvariantError if the rounded selection is not a valid
-    one-service-per-request extension of the frozen assignments.
+    Raises NonIntegralSolutionError if any x strays more than
+    INTEGRALITY_TOL from {0, 1}, and InvariantError if the rounded
+    selection is not a valid one-service-per-request extension of the
+    frozen assignments.
     """
     if solution.status != "optimal" or solution.values is None:
         raise ValueError(f"cannot extract a plan from a {solution.status} solution")
@@ -332,7 +336,7 @@ def round_to_plan(
     rounded = np.rint(x)
     gaps = np.abs(x - rounded)
     worst = int(np.argmax(gaps))
-    if gaps[worst] > tol:
+    if gaps[worst] > INTEGRALITY_TOL:
         raise NonIntegralSolutionError(
             f"x[{worst}] = {x[worst]!r} is {gaps[worst]:.3e} from an integer",
             column=worst,

@@ -122,9 +122,6 @@ class Scenario:
             out.extend(self.providers[i])
         return out
 
-    def authorized_requests(self, provider_id: int) -> list[int]:
-        return [r.request_id for r in self.requests if provider_id in r.allowed_providers]
-
 
 @dataclass(frozen=True)
 class AssignmentPlan:
@@ -173,15 +170,6 @@ class Violation:
     kind: str  # "unassigned" | "unknown_service" | "unauthorized" | "collision"
     request_ids: tuple[int, ...]
     detail: str
-
-
-def execution_time(plan: AssignmentPlan, scenario: Scenario, request_id: int) -> float:
-    """QoS of the service assigned to the request."""
-    if not (0 <= request_id < scenario.num_requests):
-        raise ValueError(f"unknown request {request_id}")
-    i, j = plan.assigned(request_id)
-    _resolve_service(scenario, i, j)
-    return scenario.qos(i, j)
 
 
 def _resolve_service(scenario: Scenario, provider_id: int, service_id: int) -> Service:

@@ -37,7 +37,14 @@ SCENARIO_FORMAT = "fairselect-scenario"
 SCENARIO_VERSION = 1
 
 PLAN_CSV_HEADER = ["request_id", "provider_id", "service_id", "qos", "payment"]
-TRACE_CSV_HEADER = ["round", "request", "provider", "service", "payment", "lp_vars", "lp_rows", "solve_ms"]
+TRACE_CSV_HEADER = [
+    "round", "request", "provider", "service", "payment", "lp_vars", "lp_rows", "solve_ms",
+    "lp_objective", "max_integrality_gap",
+]
+
+BASE_SHARE = 0.6
+BONUS_SHARE = 0.4
+MAX_AUTHORIZATION_DRAWS = 200
 
 
 @dataclass(frozen=True)
@@ -136,26 +143,24 @@ def generate_scenario(
     constraint_density: float,
     pricing_level: float,
     seed: int,
-    base_share: float = 0.6,
-    bonus_share: float = 0.4,
-    max_retries: int = 200,
 ) -> Scenario:
     """Draw a feasible scenario from a QoS matrix.
 
     Each provider is one distinct matrix column; its pool holds pool_size
     QoS values observed in distinct rows of that column. Each request
     authorizes each provider independently with probability
-    constraint_density (at least one), pays base_share*pricing_level plus
-    up to bonus_share*pricing_level, and normalizes QoS against the median
-    of its authorized pool. Authorization draws are repeated (bounded,
-    logged) until a complete assignment exists.
+    constraint_density (at least one), pays BASE_SHARE*pricing_level plus
+    up to BONUS_SHARE*pricing_level, and normalizes QoS against the median
+    of its authorized pool. Authorization draws are repeated (at most
+    MAX_AUTHORIZATION_DRAWS times, logged) until a complete assignment
+    exists.
     """
     if n_requests < 1 or n_providers < 1 or pool_size < 1:
         raise ValueError("n_requests, n_providers, and pool_size must be positive")
     if not (0 < constraint_density <= 1):
         raise ValueError("constraint_density must be in (0, 1]")
-    if pricing_level <= 0 or base_share < 0 or bonus_share < 0:
-        raise ValueError("pricing terms must be positive")
+    if pricing_level <= 0:
+        raise ValueError("pricing_level must be positive")
     rng = np.random.default_rng(seed)
 
     observed = ~np.isnan(matrix.values)
@@ -182,9 +187,9 @@ def generate_scenario(
             f"{n_requests} requests cannot share {n_providers * pool_size} services"
         )
 
-    base = base_share * pricing_level
-    bonus = bonus_share * pricing_level
-    for attempt in range(1, max_retries + 1):
+    base = BASE_SHARE * pricing_level
+    bonus = BONUS_SHARE * pricing_level
+    for attempt in range(1, MAX_AUTHORIZATION_DRAWS + 1):
         requests = []
         for n in range(n_requests):
             mask = rng.random(n_providers) < constraint_density
@@ -206,7 +211,7 @@ def generate_scenario(
             return scenario
         log.info("authorization draw %d admits no complete assignment; redrawing", attempt)
     raise InfeasibleError(
-        f"no feasible authorization pattern found in {max_retries} draws "
+        f"no feasible authorization pattern found in {MAX_AUTHORIZATION_DRAWS} draws "
         f"(density {constraint_density}, {n_requests} requests, {n_providers} providers)"
     )
 
@@ -409,6 +414,8 @@ def trace_to_csv(trace: FassTrace) -> str:
                 r.lp_vars,
                 r.lp_rows,
                 f"{r.solve_ms:.3f}",
+                repr(r.lp_objective),
+                repr(r.max_integrality_gap),
             ]
         )
     return buffer.getvalue()

@@ -10,13 +10,14 @@ lexicographically (row 0 most significant). On the selection polytope all
 tableau entries stay small integers, which makes that pricing exact; the
 scalar single-row path is the same machinery with one cost row.
 
-The tableau is kept Fortran-ordered and pivots are BLAS rank-1 updates,
-which is what makes the benchmark sizes (a few hundred rows by a few
-thousand columns) tractable. Pivot selection defaults to Dantzig pricing
-(most negative reduced cost at the most significant deciding row, lowest
-index on ties) and switches permanently to Bland's rule for the remainder
-of a solve once a long degenerate streak is detected, so every solve
-terminates and is deterministic for a fixed input.
+The tableau is a dense C-ordered array. A pivot updates only the rows
+with a nonzero entry in the pivot column: on the engine's round LPs about
+a dozen of a few hundred rows, each a contiguous numpy row operation.
+Pivot selection defaults to Dantzig pricing (most negative reduced cost
+at the most significant deciding row, lowest index on ties) and switches
+permanently to Bland's rule for the remainder of a solve once a long
+degenerate streak is detected, so every solve terminates and is
+deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 from .errors import InvariantError
 
@@ -40,17 +40,15 @@ Relation = str  # "=" or "<="
 
 @dataclass
 class StandardLP:
-    """Minimization LP: objective @ x subject to rows, bounds on x.
+    """Minimization LP: objective @ x subject to rows and x >= 0.
 
     rows is a list of (coefficients, relation, rhs) with relation "=" or
-    "<=". Bounds default to x >= 0 with no upper limit.
+    "<=".
     """
 
     num_vars: int
     objective: np.ndarray
     rows: list[tuple[np.ndarray, Relation, float]]
-    lower_bounds: np.ndarray | None = None
-    upper_bounds: np.ndarray | None = None
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -69,10 +67,6 @@ class StandardLP:
                 raise ValueError(f"row {k} has non-finite entries")
             checked.append((coeffs, relation, float(rhs)))
         self.rows = checked
-        if self.lower_bounds is not None:
-            self.lower_bounds = np.asarray(self.lower_bounds, dtype=float)
-        if self.upper_bounds is not None:
-            self.upper_bounds = np.asarray(self.upper_bounds, dtype=float)
 
     @property
     def num_rows(self) -> int:
@@ -87,21 +81,21 @@ class LPSolution:
     values: np.ndarray | None = None
     objective_value: float = math.nan
     iterations: int = 0
-    basis: np.ndarray | None = None
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    """In-place Gauss-Jordan pivot on T[row, col]; T must be F-ordered."""
-    T[row, :] /= T[row, col]
+    """In-place Gauss-Jordan pivot on T[row, col]."""
+    T[row] /= T[row, col]
     column = T[:, col].copy()
     column[row] = 0.0
-    dger(-1.0, column, T[row, :].copy(), a=T, overwrite_a=1)
+    rows = np.flatnonzero(column)
+    T[rows] -= np.outer(column[rows], T[row])
     T[:, col] = 0.0
     T[row, col] = 1.0
 
 
 class _Tableau:
-    """Simplex state: F-ordered tableau with trailing cost rows.
+    """Simplex state: tableau with trailing cost rows.
 
     Cost rows are priced together in lexicographic significance order
     (first listed row wins comparisons); a single cost row reproduces the
@@ -113,9 +107,7 @@ class _Tableau:
         self.n_cols = A.shape[1]
         self.n_price = n_price  # columns eligible to enter (excludes artificials)
         self.price_tol = price_tol
-        self.T = np.asfortranarray(
-            np.vstack([np.hstack([A, b[:, None]]), *[np.append(c, 0.0) for c in cost_rows]])
-        )
+        self.T = np.vstack([np.hstack([A, b[:, None]]), *[np.append(c, 0.0) for c in cost_rows]])
         self.basis = np.asarray(basis, dtype=np.int64)
         self.iterations = 0
         self.rule = "dantzig"
@@ -220,32 +212,19 @@ class _Tableau:
 
 
 def _standardize(lp: StandardLP):
-    """Shift lower bounds to zero, add upper-bound rows, add slack columns."""
+    """Dense constraint matrix with one slack column per <= row."""
     n = lp.num_vars
-    lower = np.zeros(n) if lp.lower_bounds is None else lp.lower_bounds.astype(float)
-    if not np.all(np.isfinite(lower)):
-        raise ValueError("lower bounds must be finite")
-    rows = list(lp.rows)
-    if lp.upper_bounds is not None:
-        for j, ub in enumerate(lp.upper_bounds):
-            if math.isfinite(ub):
-                coeffs = np.zeros(n)
-                coeffs[j] = 1.0
-                rows.append((coeffs, "<=", float(ub)))
-    m = len(rows)
-    le_rows = [k for k, (_, rel, _) in enumerate(rows) if rel == "<="]
+    le_rows = [k for k, (_, rel, _) in enumerate(lp.rows) if rel == "<="]
     n_slack = len(le_rows)
-    A = np.zeros((m, n + n_slack))
-    b = np.zeros(m)
-    slack_of_row = {}
-    for k, (coeffs, relation, rhs) in enumerate(rows):
+    A = np.zeros((lp.num_rows, n + n_slack))
+    b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
+    for k, (coeffs, _, _) in enumerate(lp.rows):
         A[k, :n] = coeffs
-        b[k] = rhs - coeffs @ lower
+    slack_of_row = {}
     for s, k in enumerate(le_rows):
         A[k, n + s] = 1.0
         slack_of_row[k] = n + s
-    cost = np.concatenate([lp.objective, np.zeros(n_slack)])
-    return A, b, cost, n, n_slack, lower, slack_of_row
+    return A, b, n, n_slack, slack_of_row
 
 
 def _cost_matrix(lp, lex_costs, n_struct, n_slack):
@@ -288,7 +267,7 @@ def solve(
         raise ValueError(f"unknown pivot rule {pivot_rule!r}")
     if lex_exact and lex_costs is None:
         raise ValueError("lex_exact requires lex_costs")
-    A, b, cost, n_struct, n_slack, lower, slack_of_row = _standardize(lp)
+    A, b, n_struct, n_slack, slack_of_row = _standardize(lp)
     costM = _cost_matrix(lp, lex_costs, n_struct, n_slack)
     if lex_exact and not np.array_equal(costM, np.rint(costM)):
         raise ValueError("lex_exact requires integer lex_costs")
@@ -324,14 +303,10 @@ def solve(
     for i, c in enumerate(tab.basis):
         if c < n_struct:
             values[c] = rhs[i]
-    values = np.maximum(values, 0.0) + lower
+    values = np.maximum(values, 0.0)
     objective_value = float(lp.objective @ values)
     return LPSolution(
-        status="optimal",
-        values=values,
-        objective_value=objective_value,
-        iterations=tab.iterations,
-        basis=tab.basis.copy(),
+        status="optimal", values=values, objective_value=objective_value, iterations=tab.iterations
     )
 
 
@@ -388,16 +363,8 @@ def _phase_one(A, b, costM, n_real, slack_of_row, pivot_rule, budget, price_tol)
                 _pivot(tab.T, i, int(pivots[0]))
                 tab.basis[i] = int(pivots[0])
     # drop the phase-1 cost row, then refresh phase-2 reduced costs
-    trimmed = _Tableau.__new__(_Tableau)
-    trimmed.m = tab.m
-    trimmed.n_cols = tab.n_cols
-    trimmed.n_price = n_real
-    trimmed.price_tol = price_tol
-    trimmed.T = np.asfortranarray(tab.T[: tab.m + n_levels, :])
-    trimmed.basis = tab.basis
-    trimmed.iterations = tab.iterations
-    trimmed.rule = tab.rule
-    trimmed._degenerate_streak = 0
+    tab.T = tab.T[: tab.m + n_levels]
+    tab._degenerate_streak = 0
     for r in range(n_levels):
-        trimmed.reduce_cost_row(r, costM_ext[r])
-    return trimmed
+        tab.reduce_cost_row(r, costM_ext[r])
+    return tab

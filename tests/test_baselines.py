@@ -9,7 +9,6 @@ from fairselect import (
     branch_and_bound_lp,
     brute_force_mmf,
     brute_force_revenue,
-    ip_branch_and_bound,
     ip_iterative,
     payment_vector,
     quantize,
@@ -154,25 +153,6 @@ def test_branch_and_bound_infeasible():
     assert result.status == "infeasible"
 
 
-def test_ip_fairness_objective_matches_the_engine(canonical):
-    result = ip_branch_and_bound(canonical, objective="xi")
-    assert result.payments.sorted_view == pytest.approx((0.5, 1.5))
-    assert result.branches == 0
-    with pytest.raises(ValueError):
-        ip_branch_and_bound(canonical, objective="spread")
-
-
-def test_ip_revenue_objective_matches_revenue_max(canonical):
-    result = ip_branch_and_bound(canonical, objective="revenue")
-    assert total_revenue(result.plan, canonical) == pytest.approx(2.0)
-    for scenario in feasible_scenarios(random_scenario, 10, seed=31):
-        via_ip = ip_branch_and_bound(scenario, objective="revenue")
-        via_lp = revenue_max(scenario)
-        assert total_revenue(via_ip.plan, scenario) == pytest.approx(
-            total_revenue(via_lp, scenario), abs=1e-9
-        )
-
-
 def test_iterative_ip_agrees_with_the_exact_oracle():
     for scenario in feasible_scenarios(grid_scenario, 20, seed=77):
         result = ip_iterative(scenario)
@@ -180,6 +160,7 @@ def test_iterative_ip_agrees_with_the_exact_oracle():
         assert result.payments.sorted_view == pytest.approx(
             oracle.optimal_sorted, abs=1e-12
         )
+        assert result.payments.per_request == payment_vector(result.plan, scenario).per_request
 
 
 def test_iterative_ip_on_infeasible_scenario():
@@ -189,8 +170,3 @@ def test_iterative_ip_on_infeasible_scenario():
     )
     with pytest.raises(InfeasibleError):
         ip_iterative(scenario)
-
-
-def test_payment_vector_of_ip_plans_is_consistent(canonical):
-    result = ip_branch_and_bound(canonical, objective="xi")
-    assert result.payments.per_request == payment_vector(result.plan, canonical).per_request

@@ -10,7 +10,6 @@ from fairselect import (
     TimingRow,
     fit_growth_exponent,
     payment_deviation,
-    payment_spread,
     pricing_sweep,
     synthetic_qos_matrix,
     timing_run,
@@ -29,13 +28,6 @@ def test_payment_deviation_examples():
     assert payment_deviation(PaymentVector((0.5, 1.5))) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         payment_deviation(PaymentVector(()))
-
-
-def test_payment_spread_examples():
-    assert payment_spread(PaymentVector((0.5, 1.5))) == pytest.approx(1.0)
-    assert payment_spread(PaymentVector((2.0,))) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        payment_spread(PaymentVector(()))
 
 
 finite_payments = st.lists(

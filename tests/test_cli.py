@@ -82,6 +82,18 @@ def test_oracle_check_rejects_oversized_search_space(tmp_path, capsys):
     assert "enumeration cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["1e-19", "1e-300"])
+def test_tiny_step_solves_or_exits_3(step, scenario_file, capsys):
+    code = main(["solve", scenario_file, "--step", step])
+    captured = capsys.readouterr()
+    if code == 3:
+        assert captured.err.startswith("error: ")
+    else:
+        assert code == 0
+        assert "sorted=(0.5,1.5)" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_missing_file_is_a_format_error(capsys):
     assert main(["solve", "/nonexistent/path.json"]) == 3
     assert "error:" in capsys.readouterr().err

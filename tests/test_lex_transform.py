@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ def test_quantize_doubles_step_until_span_fits():
     assert quant.step == pytest.approx(0.01 * 128)
     spans = [pair for pair in quant.grid.values()]
     assert max(max(p) for p in spans) - min(min(p) for p in spans) <= 100
+
+
+@pytest.mark.parametrize("step", [1e-19, 1e-300])
+def test_quantize_tiny_step_coarsens_without_overflow(step):
+    # payment/step is beyond int64 at both steps; the grid must still be
+    # the one the coarsened step gives directly
+    scenario = two_request_scenario()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        quant = quantize(scenario, [0, 1], step=step, range_cap=100)
+    levels = [level for pair in quant.grid.values() for level in pair]
+    assert -100 <= min(levels) and max(levels) == 0
+    assert quant.grid == quantize(scenario, [0, 1], step=quant.step, range_cap=100).grid
 
 
 def test_quantize_validation():

@@ -16,7 +16,6 @@ from fairselect import (
     assignment_payment,
     check_feasible,
     enumerate_feasible,
-    execution_time,
     has_saturating_matching,
     lex_compare,
     payment_vector,
@@ -69,21 +68,6 @@ def test_payment_can_go_negative():
     # q far above baseline drives the bonus term below -a
     req = Request(0, frozenset({0}), 1.0, 1.0, 1.0)
     assert assignment_payment(req, Service(0, 0, 5.0), selected=True) == -3.0
-
-
-def test_execution_time_returns_chosen_qos():
-    scenario = two_request_scenario()
-    plan = AssignmentPlan({0: (0, 1), 1: (0, 0)})
-    assert execution_time(plan, scenario, 0) == 3.0
-    assert execution_time(plan, scenario, 1) == 1.0
-
-
-def test_execution_time_errors():
-    scenario = two_request_scenario()
-    with pytest.raises(ValueError):
-        execution_time(AssignmentPlan({}), scenario, 0)  # unassigned
-    with pytest.raises(ValueError):
-        execution_time(AssignmentPlan({0: (0, 0)}), scenario, 7)  # unknown request
 
 
 def test_request_payment_selects_single_term():

@@ -225,6 +225,10 @@ def test_trace_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1"  # rounds are 1-based
     assert float(first[4]) == pytest.approx(0.5)
+    assert TRACE_CSV_HEADER[-2:] == ["lp_objective", "max_integrality_gap"]
+    record = result.trace.rounds[0]
+    assert float(first[-2]) == record.lp_objective
+    assert float(first[-1]) == record.max_integrality_gap
 
     path = tmp_path / "trace.csv"
     write_trace_csv(result.trace, str(path))

@@ -51,20 +51,6 @@ def test_negative_rhs_is_flipped_in_phase_one():
     assert solution.values[0] == pytest.approx(2.0)
 
 
-def test_upper_bounds_are_enforced():
-    solution = solve(lp([-1.0, -1.0], [([1.0, 0.0], "<=", 5.0)], upper_bounds=np.array([np.inf, 3.0])))
-    assert solution.status == "optimal"
-    assert solution.values == pytest.approx([5.0, 3.0])
-
-
-def test_lower_bounds_shift():
-    solution = solve(
-        lp([1.0], [([1.0], "<=", 9.0)], lower_bounds=np.array([2.5]))
-    )
-    assert solution.status == "optimal"
-    assert solution.values[0] == pytest.approx(2.5)
-
-
 def test_malformed_lp_is_a_construction_error():
     with pytest.raises(ValueError):
         StandardLP(num_vars=2, objective=np.array([1.0]), rows=[])
