@@ -73,6 +73,7 @@ class RoundRecord:
     lp_rows: int
     lp_objective: float
     solve_ms: float
+    iterations: int  # simplex pivots of the round solve; 0 for ip_iterative rounds
     max_integrality_gap: float  # worst |x - round(x)| over the selection block
 
 
@@ -204,6 +205,7 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
                 lp_rows=lp.num_rows,
                 lp_objective=solution.objective_value,
                 solve_ms=solve_ms,
+                iterations=solution.iterations,
                 max_integrality_gap=integrality_gap,
             )
         )

@@ -39,7 +39,7 @@ SCENARIO_VERSION = 1
 PLAN_CSV_HEADER = ["request_id", "provider_id", "service_id", "qos", "payment"]
 TRACE_CSV_HEADER = [
     "round", "request", "provider", "service", "payment", "lp_vars", "lp_rows", "solve_ms",
-    "lp_objective", "max_integrality_gap",
+    "iterations", "lp_objective", "max_integrality_gap",
 ]
 
 BASE_SHARE = 0.6
@@ -414,6 +414,7 @@ def trace_to_csv(trace: FassTrace) -> str:
                 r.lp_vars,
                 r.lp_rows,
                 f"{r.solve_ms:.3f}",
+                r.iterations,
                 repr(r.lp_objective),
                 repr(r.max_integrality_gap),
             ]

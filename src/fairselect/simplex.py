@@ -10,9 +10,17 @@ lexicographically (row 0 most significant). On the selection polytope all
 tableau entries stay small integers, which makes that pricing exact; the
 scalar single-row path is the same machinery with one cost row.
 
+Cost rows that are identically zero are dropped before the tableau is
+built: a pivot adds multiples of the pivot row only to rows with a nonzero
+in the pivot column, so such a row stays zero and never decides a column.
+The engine's level stacks span every grid level between the deepest and
+the shallowest payment, and many of those levels hold no candidate.
+
 The tableau is a dense C-ordered array. A pivot updates only the rows
 with a nonzero entry in the pivot column: on the engine's round LPs about
 a dozen of a few hundred rows, each a contiguous numpy row operation.
+Pricing reads the whole cost block in one vectorized pass: each column's
+deciding level is its first reduced cost beyond the pricing tolerance.
 Pivot selection defaults to Dantzig pricing (most negative reduced cost
 at the most significant deciding row, lowest index on ties) and switches
 permanently to Bland's rule for the remainder of a solve once a long
@@ -102,12 +110,12 @@ class _Tableau:
     ordinary simplex.
     """
 
-    def __init__(self, A, b, n_price, basis, cost_rows, price_tol=EPS_FEAS):
+    def __init__(self, A, b, n_price, basis, costs, price_tol=EPS_FEAS):
         self.m = A.shape[0]
         self.n_cols = A.shape[1]
         self.n_price = n_price  # columns eligible to enter (excludes artificials)
         self.price_tol = price_tol
-        self.T = np.vstack([np.hstack([A, b[:, None]]), *[np.append(c, 0.0) for c in cost_rows]])
+        self.T = np.block([[A, b[:, None]], [costs, np.zeros((costs.shape[0], 1))]])
         self.basis = np.asarray(basis, dtype=np.int64)
         self.iterations = 0
         self.rule = "dantzig"
@@ -140,33 +148,31 @@ class _Tableau:
         rhs = T[: self.m, self.n_cols]
         return bool(np.all(rhs >= -EPS_FEAS))
 
-    def _entering(self, price_rows: Sequence[int]) -> int | None:
+    def _entering(self, price_rows: range) -> int | None:
         """Lexicographically negative column, or None at optimality.
 
-        A column is improving when its first nonzero reduced cost across
-        price_rows is negative. Dantzig flavor: most negative entry at the
-        most significant row that decides any still-undecided column; Bland
-        flavor: lowest improving column index overall.
+        One pass over the cost block of price_rows (a contiguous run of
+        cost rows, most significant first). A column's deciding level is
+        its first reduced cost with magnitude above price_tol, and the
+        column is improving when that entry is below -price_tol; a column
+        with no deciding level never improves. Dantzig flavor: most negative
+        deciding entry among the improving columns of the most significant
+        deciding level, lowest index on ties; Bland flavor: lowest improving
+        column index. No rows (every cost row was zero) means optimal.
         """
-        T = self.T
+        if not price_rows:
+            return None
         tol = self.price_tol
-        undecided = np.ones(self.n_price, dtype=bool)
-        chosen: int | None = None
-        for r in price_rows:
-            rc = T[self.m + r, : self.n_price]
-            negative = undecided & (rc < -tol)
-            if negative.any():
-                if self.rule == "bland":
-                    first = int(np.flatnonzero(negative)[0])
-                    chosen = first if chosen is None else min(chosen, first)
-                    if chosen == 0:
-                        return 0
-                else:
-                    return int(np.argmin(np.where(negative, rc, np.inf)))
-            undecided &= np.abs(rc) <= tol
-            if not undecided.any():
-                break
-        return chosen
+        costs = self.T[self.m + price_rows.start : self.m + price_rows.stop, : self.n_price]
+        level = (np.abs(costs) > tol).argmax(axis=0)
+        deciding = costs[level, np.arange(self.n_price)]
+        improving = deciding < -tol
+        if not improving.any():
+            return None
+        if self.rule == "bland":
+            return int(improving.argmax())
+        top = level[improving].min()
+        return int(np.argmin(np.where(improving & (level == top), deciding, np.inf)))
 
     def _leaving(self, col: int) -> int | None:
         column = self.T[: self.m, col]
@@ -188,7 +194,7 @@ class _Tableau:
         pool = ties[artificial] if artificial.any() else ties
         return int(pool[np.argmin(self.basis[pool])])
 
-    def run(self, price_rows: Sequence[int], max_iters: int) -> str:
+    def run(self, price_rows: range, max_iters: int) -> str:
         """Pivot until lex-optimal on price_rows; "optimal"/"unbounded"."""
         degen_limit = max(200, 2 * self.m)
         while True:
@@ -228,7 +234,7 @@ def _standardize(lp: StandardLP):
 
 
 def _cost_matrix(lp, lex_costs, n_struct, n_slack):
-    """Phase-2 cost rows; slack columns cost 0."""
+    """Phase-2 cost rows that are not identically zero; slack columns cost 0."""
     if lex_costs is None:
         rows = lp.objective[None, :]
     else:
@@ -237,6 +243,7 @@ def _cost_matrix(lp, lex_costs, n_struct, n_slack):
             raise ValueError("lex_costs must have shape (levels, num_vars)")
         if not np.all(np.isfinite(rows)):
             raise ValueError("lex_costs entries must be finite")
+    rows = rows[np.any(rows != 0.0, axis=1)]
     return np.hstack([rows, np.zeros((rows.shape[0], n_slack))])
 
 
@@ -258,10 +265,11 @@ def solve(
 
     lex_costs, when given, is a (levels x num_vars) stack of cost rows that
     replaces lp.objective for pricing: columns compare lexicographically
-    with row 0 most significant. lex_exact asserts that the constraint
-    matrix keeps tableau entries integral (true for the selection rows this
-    package builds), enabling exact zero/nonzero pricing thresholds;
-    lp.objective is still what objective_value reports.
+    with row 0 most significant; rows that are all zero are dropped.
+    lex_exact asserts that the constraint matrix keeps tableau entries
+    integral (true for the selection rows this package builds), enabling
+    exact zero/nonzero pricing thresholds; lp.objective is still what
+    objective_value reports.
     """
     if pivot_rule not in ("dantzig", "bland"):
         raise ValueError(f"unknown pivot rule {pivot_rule!r}")
@@ -273,7 +281,6 @@ def solve(
         raise ValueError("lex_exact requires integer lex_costs")
     price_tol = EXACT_PRICE_TOL if lex_exact else EPS_FEAS
     n_levels = costM.shape[0]
-    price_rows = tuple(range(n_levels))
     m = A.shape[0]
     n_real = n_struct + n_slack
     budget = max_iters if max_iters is not None else 5000 + 60 * (m + n_real)
@@ -282,7 +289,7 @@ def solve(
     if initial_basis is not None:
         basis = np.asarray(initial_basis, dtype=np.int64)
         if basis.shape == (m,) and np.all((basis >= 0) & (basis < n_real)):
-            candidate = _Tableau(A, b, n_real, basis.copy(), list(costM), price_tol)
+            candidate = _Tableau(A, b, n_real, basis.copy(), costM, price_tol)
             candidate.rule = pivot_rule
             if candidate.canonicalize_basis():
                 for r in range(n_levels):
@@ -294,7 +301,7 @@ def solve(
         if tab is None:
             return LPSolution(status="infeasible")
 
-    status = tab.run(price_rows, budget)
+    status = tab.run(range(n_levels), budget)
     if status == "unbounded":
         return LPSolution(status="unbounded", iterations=tab.iterations)
 
@@ -328,7 +335,7 @@ def _phase_one(A, b, costM, n_real, slack_of_row, pivot_rule, budget, price_tol)
             needs_artificial.append(k)
     n_art = len(needs_artificial)
     if n_art == 0:
-        tab = _Tableau(A, b, n_real, basis, list(costM), price_tol)
+        tab = _Tableau(A, b, n_real, basis, costM, price_tol)
         tab.rule = pivot_rule
         if not tab.canonicalize_basis():  # pragma: no cover - slack basis is identity
             raise InvariantError("slack basis rejected")
@@ -343,12 +350,12 @@ def _phase_one(A, b, costM, n_real, slack_of_row, pivot_rule, budget, price_tol)
         basis[k] = n_real + t
         art_cost[n_real + t] = 1.0
     costM_ext = np.hstack([costM, np.zeros((n_levels, n_art))])
-    tab = _Tableau(A_ext, b, n_real, basis, [*costM_ext, art_cost], price_tol)
+    tab = _Tableau(A_ext, b, n_real, basis, np.vstack([costM_ext, art_cost]), price_tol)
     tab.rule = pivot_rule
     if not tab.canonicalize_basis():  # pragma: no cover - artificial basis is identity
         raise InvariantError("artificial basis rejected")
     tab.reduce_cost_row(n_levels, art_cost)
-    status = tab.run((n_levels,), budget)
+    status = tab.run(range(n_levels, n_levels + 1), budget)
     if status == "unbounded":  # pragma: no cover - phase 1 is bounded below
         raise InvariantError("phase 1 reported unbounded")
     infeasibility = -tab.T[tab.m + n_levels, tab.n_cols]

@@ -12,11 +12,13 @@ from fairselect import (
     brute_force_mmf,
     build_reduced_subproblem_lp,
     check_feasible,
+    ip_iterative,
     payment_vector,
     quantize,
     run_fass,
     solve,
 )
+import fairselect.fass as fass_module
 from fairselect.fass import select_min_payment_request
 from fairselect.lex_transform import round_to_plan
 
@@ -49,6 +51,18 @@ def test_single_request_payment_formula():
     result = run_fass(scenario)
     assert result.payments.sorted_view == pytest.approx((2.75,))
     assert result.trace.rounds[0].lp_vars == 1
+
+
+def test_zero_bonus_cancels_every_level_row():
+    # with no bonus a request pays its base on every service, so each
+    # column's selected and unselected level coincide and every lex row is 0
+    scenario = make_scenario(
+        pools=[[1.0, 2.0]],
+        requests=[({0}, 1.0, 0.0, 1.0), ({0}, 2.0, 0.0, 1.0)],
+    )
+    for result in (run_fass(scenario), ip_iterative(scenario)):
+        assert result.plan.choices == {0: (0, 1), 1: (0, 0)}
+        assert result.payments.per_request == (1.0, 2.0)
 
 
 def test_more_requests_than_services_is_infeasible():
@@ -113,6 +127,22 @@ def test_trace_records_are_coherent():
             record.service_id,
         )
     assert result.trace.total_ms >= sum(r.solve_ms for r in result.trace.rounds)
+
+
+def test_round_records_carry_simplex_iterations(monkeypatch):
+    seen = []
+
+    def counting_solve(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        seen.append(solution.iterations)
+        return solution
+
+    monkeypatch.setattr(fass_module, "solve", counting_solve)
+    for scenario in feasible_scenarios(random_scenario, 10, seed=19):
+        seen.clear()
+        result = run_fass(scenario)
+        assert [r.iterations for r in result.trace.rounds] == seen
+    assert sum(seen) > 0
 
 
 def test_plans_are_always_feasible_on_random_scenarios():

@@ -235,6 +235,14 @@ def test_trace_csv_layout(tmp_path):
     assert path.read_text().splitlines()[0] == ",".join(TRACE_CSV_HEADER)
 
 
+def test_trace_csv_iterations_column():
+    result = run_fass(two_request_scenario())
+    column = TRACE_CSV_HEADER.index("iterations")
+    assert TRACE_CSV_HEADER[column - 1] == "solve_ms"
+    rows = [line.split(",") for line in trace_to_csv(result.trace).splitlines()[1:]]
+    assert [int(row[column]) for row in rows] == [r.iterations for r in result.trace.rounds]
+
+
 def test_write_text_ignores_a_stray_temp_name(tmp_path):
     # a fixed "<path>.tmp" name would collide with this directory
     path = tmp_path / "out.csv"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.optimize import linprog
 
 from fairselect import (
@@ -9,6 +10,7 @@ from fairselect import (
     StandardLP,
     solve,
 )
+from fairselect.simplex import EPS_FEAS, EXACT_PRICE_TOL, _Tableau
 
 
 def lp(objective, rows, **kw):
@@ -201,3 +203,66 @@ def test_lex_pricing_breaks_scalar_precision_barrier():
         lex_exact=True,
     )
     assert lex_fixed.values[0] == pytest.approx(1.0), "lex pricing must prefer the smaller deep term"
+
+
+def test_all_zero_lex_costs_are_optimal_at_the_start():
+    # every level row is zero: the feasible start is already optimal
+    problem = lp([0.0, 0.0, 0.0, 0.0], assignment_lp())
+    warm = solve(problem, initial_basis=[0, 3, 4, 5], lex_costs=np.zeros((3, 4)), lex_exact=True)
+    assert warm.status == "optimal"
+    assert warm.iterations == 0
+    assert np.array_equal(warm.values, [1.0, 0.0, 0.0, 1.0])
+    cold = solve(problem, lex_costs=np.zeros((3, 4)), lex_exact=True)
+    assert cold.status == "optimal"
+    residual = np.array([c @ cold.values - rhs for c, _, rhs in problem.rows])
+    assert np.allclose(residual[:2], 0.0) and residual[2:].max() <= 1e-9
+
+
+def row_by_row_entering(T, m, n_price, price_rows, rule, tol):
+    """Reference pricing: walk the level rows one at a time."""
+    undecided = np.ones(n_price, dtype=bool)
+    chosen = None
+    for r in price_rows:
+        rc = T[m + r, :n_price]
+        negative = undecided & (rc < -tol)
+        if negative.any():
+            if rule == "bland":
+                first = int(np.flatnonzero(negative)[0])
+                chosen = first if chosen is None else min(chosen, first)
+                if chosen == 0:
+                    return 0
+            else:
+                return int(np.argmin(np.where(negative, rc, np.inf)))
+        undecided &= np.abs(rc) <= tol
+        if not undecided.any():
+            break
+    return chosen
+
+
+@st.composite
+def priced_tableaus(draw):
+    """Constraint rows over cost rows with zero rows, zero columns and ties."""
+    tol = draw(st.sampled_from([EPS_FEAS, EXACT_PRICE_TOL]))
+    m = draw(st.integers(0, 3))
+    levels = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(2, 10))
+    # small integers tie often; +-tol/2 sits below the pricing threshold
+    entries = st.sampled_from([-2.0, -1.0, 1.0, 2.0, 0.0, 0.0, 0.0, -tol / 2, tol / 2])
+    cells = st.lists(entries, min_size=(m + levels) * n_cols, max_size=(m + levels) * n_cols)
+    block = np.array(draw(cells)).reshape(m + levels, n_cols)
+    A, costs = block[:m], block[m:]
+    costs[draw(st.lists(st.integers(0, levels - 1), max_size=levels))] = 0.0
+    costs[:, draw(st.lists(st.integers(0, n_cols - 1), max_size=3))] = 0.0
+    n_price = n_cols - draw(st.integers(0, min(2, n_cols - 1)))  # trailing columns play artificials
+    tab = _Tableau(A, np.ones(m), n_price, np.zeros(m), costs, tol)
+    # all rows as in phase 2, or one trailing row as in phase 1
+    price_rows = draw(st.sampled_from([range(levels), range(levels - 1, levels)]))
+    return tab, price_rows
+
+
+@given(priced_tableaus(), st.sampled_from(["dantzig", "bland"]))
+def test_one_pass_pricing_matches_row_by_row(priced, rule):
+    tab, price_rows = priced
+    tab.rule = rule
+    expected = row_by_row_entering(tab.T, tab.m, tab.n_price, price_rows, rule, tab.price_tol)
+    assert tab._entering(price_rows) == expected
