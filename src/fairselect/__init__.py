@@ -8,9 +8,6 @@ branching is needed on the main path.
 """
 
 from .baselines import (
-    BnbResult,
-    IPResult,
-    RandomizedStats,
     branch_and_bound_lp,
     ip_iterative,
     randomized,
@@ -25,21 +22,17 @@ from .bench import (
     pricing_sweep,
     timing_run,
     write_sweep_csv,
-    write_timing_csv,
 )
 from .errors import (
-    FairselectError,
     InfeasibleError,
     InvariantError,
     NonIntegralSolutionError,
     ScenarioFormatError,
 )
-from .fass import FassConfig, FassResult, FassTrace, RoundRecord, run_fass
+from .fass import FassConfig, run_fass
 from .lex_transform import (
-    LambdaLayout,
     QuantizedPayments,
     build_reduced_subproblem_lp,
-    candidate_triples,
     effective_range_cap,
     quantize,
     verify_row_partition,
@@ -51,7 +44,6 @@ from .model import (
     Request,
     Scenario,
     Service,
-    Violation,
     assignment_payment,
     check_feasible,
     has_saturating_matching,
@@ -61,12 +53,10 @@ from .model import (
     saturating_matching,
     total_revenue,
 )
-from .oracle import EnumerationReport, brute_force_mmf, brute_force_revenue, enumerate_feasible
+from .oracle import brute_force_mmf, brute_force_revenue, enumerate_feasible
 from .scenario_io import (
-    QosMatrix,
     generate_scenario,
     load_plan_csv,
-    load_qos_matrix,
     load_scenario,
     parse_plan_csv,
     parse_qos_matrix,
@@ -77,43 +67,30 @@ from .scenario_io import (
     write_scenario,
     write_trace_csv,
 )
-from .simplex import LPSolution, StandardLP, solve
+from .simplex import StandardLP, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssignmentPlan",
-    "BnbResult",
-    "EnumerationReport",
-    "FairselectError",
     "FassConfig",
-    "FassResult",
-    "FassTrace",
-    "IPResult",
     "InfeasibleError",
     "InvariantError",
-    "LPSolution",
-    "LambdaLayout",
     "NonIntegralSolutionError",
     "PaymentVector",
-    "QosMatrix",
     "QuantizedPayments",
-    "RandomizedStats",
     "Request",
-    "RoundRecord",
     "Scenario",
     "ScenarioFormatError",
     "Service",
     "StandardLP",
     "SweepRow",
     "TimingRow",
-    "Violation",
     "assignment_payment",
     "branch_and_bound_lp",
     "brute_force_mmf",
     "brute_force_revenue",
     "build_reduced_subproblem_lp",
-    "candidate_triples",
     "check_feasible",
     "effective_range_cap",
     "enumerate_feasible",
@@ -123,7 +100,6 @@ __all__ = [
     "ip_iterative",
     "lex_compare",
     "load_plan_csv",
-    "load_qos_matrix",
     "load_scenario",
     "parse_plan_csv",
     "parse_qos_matrix",
@@ -147,7 +123,6 @@ __all__ = [
     "write_plan_csv",
     "write_scenario",
     "write_sweep_csv",
-    "write_timing_csv",
     "write_trace_csv",
     "xi_score",
 ]

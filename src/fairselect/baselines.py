@@ -225,7 +225,7 @@ def ip_iterative(
     branches = 0
     nodes = 0
 
-    def cold_branch_and_bound(lp, layout, matching):
+    def cold_branch_and_bound(lp, layout, warm):
         nonlocal branches, nodes
         result = branch_and_bound_lp(
             lp, range(lp.num_vars), lex_costs=layout.lex_cost_rows(), lex_exact=True

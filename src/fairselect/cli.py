@@ -108,10 +108,16 @@ def _cmd_oracle_check(args) -> int:
     ours = result.payments.sorted_view
     best = report.optimal_sorted
     tol = args.step + 1e-9
+    # the precision the run gave up: its coarsest round step and its worst
+    # sorted entry against the oracle
+    precision = (
+        f"max_step={max(r.step for r in result.trace.rounds):g} "
+        f"max_gap={max(abs(u - v) for u, v in zip(ours, best)):g}"
+    )
     if len(ours) == len(best) and all(abs(u - v) <= tol for u, v in zip(ours, best)):
-        print(f"MATCH sorted={_fmt_sorted(best)}")
+        print(f"MATCH sorted={_fmt_sorted(best)} {precision}")
         return EXIT_OK
-    print(f"MISMATCH fass={_fmt_sorted(ours)} oracle={_fmt_sorted(best)}")
+    print(f"MISMATCH fass={_fmt_sorted(ours)} oracle={_fmt_sorted(best)} {precision}")
     return EXIT_INVARIANT
 
 

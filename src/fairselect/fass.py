@@ -6,7 +6,10 @@ payment at its chosen service and removes that service from every other
 pool. With N requests the engine runs exactly N rounds; frozen payments
 never decrease by more than one grid step between rounds.
 
-`freeze_rounds` is that loop with the round solver passed in. `run_fass`
+`freeze_rounds` is that loop with the round solver passed in. It builds
+the scenario's candidate table once; each round is the table's columns of
+the active requests on unfrozen services, and its payments, LP, crash
+basis and plan read-out are all indexed from those columns. `run_fass`
 hands it the simplex warm-started from a known feasible matching: round 1
 uses the feasibility check's matching, later rounds reuse the previous
 round's selection restricted to the surviving requests, which is always
@@ -25,9 +28,8 @@ import numpy as np
 from .errors import InfeasibleError, InvariantError
 from .lex_transform import (
     LambdaLayout,
-    assignment_block,
     build_reduced_subproblem_lp,
-    candidate_triples,
+    candidate_table,
     effective_range_cap,
     quantize,
     round_to_plan,
@@ -39,7 +41,6 @@ from .model import (
     Scenario,
     check_feasible,
     payment_vector,
-    request_payment,
     saturating_matching,
 )
 from .simplex import LPSolution, StandardLP, solve
@@ -74,6 +75,10 @@ class RoundRecord:
     lp_objective: float
     solve_ms: float
     iterations: int  # simplex pivots of the round solve; 0 for ip_iterative rounds
+    step: float  # effective quantization step after doubling
+    doublings: int  # times the requested step was doubled to fit the level range
+    levels: int  # row count of the round's lex_cost_rows
+    K: int  # objective base
     max_integrality_gap: float  # worst |x - round(x)| over the selection block
 
 
@@ -99,37 +104,34 @@ def select_min_payment_request(payments: Mapping[int, float]) -> int:
     return min(payments, key=lambda n: (payments[n], n))
 
 
-def _crash_basis(layout: LambdaLayout, matching: Mapping[int, tuple[int, int]]) -> np.ndarray:
-    """Feasible starting basis for a round LP from a known matching.
+def _crash_basis(layout: LambdaLayout, warm: np.ndarray) -> np.ndarray:
+    """Feasible starting basis for a round LP from a known selection.
 
-    Row i's basic column: the matched x column for request rows, the row's
-    own slack for capacity rows. The basis matrix is triangular, so the
-    solver canonicalizes it with one cheap pivot per request.
+    warm holds the table columns of a feasible selection, one per active
+    request, ascending (so in request-row order). Row i's basic column: the
+    selected x column for request rows, the row's own slack for capacity
+    rows. The basis matrix is triangular, so the solver canonicalizes it
+    with one cheap pivot per request; a basis that is not feasible sends
+    the solver to its two-phase start.
     """
-    T = layout.num_triples
-    col_of = {triple: t for t, triple in enumerate(layout.triples)}
-    m = layout.num_request_rows + layout.num_provider_rows
-    basis = np.empty(m, dtype=np.int64)
-    for row, n in enumerate(layout.request_row_ids):
-        i, j = matching[n]
-        basis[row] = col_of[(n, i, j)]
-    for k in range(layout.num_provider_rows):
-        basis[layout.num_request_rows + k] = T + k
-    return basis
+    if warm.size != layout.num_request_rows:
+        raise InvariantError("warm start does not select one column per active request")
+    slacks = layout.num_triples + np.arange(layout.num_provider_rows)
+    return np.concatenate((np.searchsorted(layout.columns, warm), slacks))
 
 
-# (lp, layout, warm-start matching of the active requests) -> optimal solution
-RoundSolver = Callable[[StandardLP, LambdaLayout, Mapping[int, tuple[int, int]]], LPSolution]
+# (lp, layout, warm-start selection as ascending table columns) -> optimal solution
+RoundSolver = Callable[[StandardLP, LambdaLayout, np.ndarray], LPSolution]
 
 
 def run_fass(scenario: Scenario, config: FassConfig | None = None) -> FassResult:
     """Compute the max-min fair assignment; returns (plan, payments, trace)."""
     config = config or FassConfig()
 
-    def warm_simplex(lp, layout, matching):
+    def warm_simplex(lp, layout, warm):
         return solve(
             lp,
-            initial_basis=_crash_basis(layout, matching),
+            initial_basis=_crash_basis(layout, warm),
             lex_costs=layout.lex_cost_rows(),
             lex_exact=True,
         )
@@ -149,6 +151,11 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
     if matching is None:
         raise InfeasibleError("no assignment can serve every request")
 
+    table = candidate_table(scenario)
+    matched = np.full(scenario.num_requests, -1, dtype=np.int64)
+    for n, (i, j) in matching.items():
+        matched[n] = table.pool_start[i] + j
+    warm = np.flatnonzero(table.flat == matched[table.request])
     active = list(range(scenario.num_requests))
     frozen: dict[int, tuple[int, int]] = {}
     records: list[RoundRecord] = []
@@ -157,30 +164,30 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
     t_start = time.perf_counter()
 
     for round_index in range(1, scenario.num_requests + 1):
-        removed = set(frozen.values())
-        n_triples = len(candidate_triples(scenario, active, excluded_services=removed))
-        cap = effective_range_cap(config.range_cap, n_triples, config.k_base)
-        quant = quantize(scenario, active, config.step, cap, excluded_services=removed)
+        removed = list(frozen.values())
+        n_candidates = table.columns(active, removed).size
+        cap = effective_range_cap(config.range_cap, n_candidates, config.k_base)
+        quant = quantize(table, active, config.step, cap, excluded_services=removed)
         lp, layout = build_reduced_subproblem_lp(
-            scenario, frozen, active, quant, k_override=config.k_base
+            table, frozen, active, quant, k_override=config.k_base
         )
-        ok, bad_col = verify_row_partition(
-            assignment_block(lp, layout), layout.num_request_rows
-        )
+        ok, bad_col = verify_row_partition(layout.block, layout.num_request_rows)
         if not ok:
             raise InvariantError(f"selection rows lost their two-block structure at column {bad_col}")
 
         t0 = time.perf_counter()
-        solution = solve_round(lp, layout, matching)
+        solution = solve_round(lp, layout, warm)
         solve_ms = (time.perf_counter() - t0) * 1000.0
         if solution.status != "optimal":
             # a saturating matching exists, so the LP cannot be infeasible or unbounded
             raise InvariantError(f"round {round_index} LP came back {solution.status}")
 
         x_block = solution.values[: layout.num_triples]
-        integrality_gap = float(np.max(np.abs(x_block - np.rint(x_block))))
+        rounded = np.rint(x_block)
+        integrality_gap = float(np.max(np.abs(x_block - rounded)))
         plan_round = round_to_plan(solution, layout, frozen)
-        payments = {n: request_payment(plan_round, scenario, n) for n in active}
+        chosen = layout.columns[rounded == 1]  # one per active request: round_to_plan checked
+        payments = dict(zip(table.request[chosen].tolist(), table.pay1[chosen].tolist()))
         n_star = select_min_payment_request(payments)
         choice = plan_round.choices[n_star]
 
@@ -206,12 +213,16 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
                 lp_objective=solution.objective_value,
                 solve_ms=solve_ms,
                 iterations=solution.iterations,
+                step=quant.step,
+                doublings=quant.doublings,
+                levels=layout.num_levels,
+                K=layout.K,
                 max_integrality_gap=integrality_gap,
             )
         )
         frozen[n_star] = choice
         active.remove(n_star)
-        matching = {n: plan_round.choices[n] for n in active}
+        warm = chosen[table.request[chosen] != n_star]
 
     plan = AssignmentPlan(frozen)
     violations = check_feasible(plan, scenario)

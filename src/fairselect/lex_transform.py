@@ -22,18 +22,29 @@ prices the scalar coefficients directly. It prices the per-level integer
 rows from LambdaLayout.lex_cost_rows, which order columns identically
 (the base condition K >= candidate count is exactly what makes the scalar
 sum respect the level-wise lexicographic order) and stay exact.
+
+Every candidate pair of a scenario, with both of its payments, is one
+column of a CandidateTable, built once per solve. A round is an index
+array into that table: the columns of the still active requests on
+services nobody froze. Quantization, the constraint block (one request
+row and one capacity row per column, placed by fancy indexing), the row
+partition check (per-column counts over the block's entries) and the plan
+read-out all work on those arrays. The scenario-level functions
+(candidate_triples, quantize, build_reduced_subproblem_lp) accept a
+Scenario and build the table themselves, or take the engine's table.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleError, InvariantError, NonIntegralSolutionError
-from .model import AssignmentPlan, Scenario, assignment_payment
+from .model import AssignmentPlan, Scenario
 from .simplex import INTEGRALITY_TOL, LPSolution, StandardLP
 
 Triple = tuple[int, int, int]  # (request, provider, service)
@@ -53,6 +64,130 @@ def xi_score(levels: Sequence[int], K: int) -> float:
     return math.fsum(float(K) ** (-int(level)) for level in levels)
 
 
+@dataclass(frozen=True, eq=False)
+class CandidateTable:
+    """Every authorized (request, provider, service) pair of one scenario.
+
+    Column t is the pair (request[t], provider[t], service[t]); columns run
+    in candidate_triples order (request, then provider, then service index).
+    flat[t] numbers the service across all pools in (provider, service)
+    order, pool_start[i] being provider i's first number. pay0/pay1 are
+    assignment_payment's unselected and selected payments of the pair,
+    computed with the same float operations, so they are the same floats.
+    """
+
+    num_requests: int
+    pool_start: np.ndarray
+    request: np.ndarray
+    provider: np.ndarray
+    service: np.ndarray
+    flat: np.ndarray
+    pay0: np.ndarray
+    pay1: np.ndarray
+
+    @property
+    def num_services(self) -> int:
+        return int(self.pool_start[-1])
+
+    def columns(
+        self, active_requests: Iterable[int], excluded_services: Iterable[tuple[int, int]] = ()
+    ) -> np.ndarray:
+        """Ascending columns of the active requests' pairs on services not excluded."""
+        active = np.zeros(self.num_requests, dtype=bool)
+        for n in active_requests:
+            if not (0 <= n < self.num_requests):
+                raise ValueError(f"unknown request {n}")
+            active[n] = True
+        keep = active[self.request]
+        start = self.pool_start
+        # pairs naming no service of the scenario exclude nothing
+        removed = [
+            start[i] + j
+            for i, j in excluded_services
+            if 0 <= i < start.size - 1 and 0 <= j < start[i + 1] - start[i]
+        ]
+        if removed:
+            free = np.ones(self.num_services, dtype=bool)
+            free[removed] = False
+            keep &= free[self.flat]
+        return keep.nonzero()[0]
+
+    def triples(self, columns: np.ndarray) -> list[Triple]:
+        return list(
+            zip(
+                self.request[columns].tolist(),
+                self.provider[columns].tolist(),
+                self.service[columns].tolist(),
+            )
+        )
+
+
+def candidate_table(scenario: Scenario) -> CandidateTable:
+    """The scenario's candidate pairs and their payments, as arrays."""
+    sizes = np.array([len(pool) for pool in scenario.providers], dtype=np.int64)
+    pool_start = np.concatenate(([0], np.cumsum(sizes)))
+    provider_of = np.repeat(np.arange(sizes.size), sizes)
+    allowed = np.zeros((scenario.num_requests, sizes.size), dtype=bool)
+    for n, req in enumerate(scenario.requests):
+        allowed[n, sorted(req.allowed_providers)] = True
+    request, flat = np.nonzero(allowed[:, provider_of])  # row-major: by request, then (i, j)
+    qos = np.array([svc.qos for svc in scenario.services()], dtype=float)
+    base, bonus, baseline = (
+        np.array([getattr(req, name) for req in scenario.requests], dtype=float)
+        for name in ("base_payment", "max_bonus", "qos_baseline")
+    )
+    # assignment_payment's expression, term for term, at x = 0 and x = 1;
+    # Python floats overflow to inf and inf * 0 to nan silently, so numpy may too
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = qos[flat] / baseline[request]
+        a, b = base[request], bonus[request]
+        pay0 = a + b * (1.0 - ratio * 0.0)
+        pay1 = a + b * (1.0 - ratio * 1.0)
+    return CandidateTable(
+        num_requests=scenario.num_requests,
+        pool_start=pool_start,
+        request=request,
+        provider=provider_of[flat],
+        service=flat - pool_start[provider_of[flat]],
+        flat=flat,
+        pay0=pay0,
+        pay1=pay1,
+    )
+
+
+def _table(source: Scenario | CandidateTable) -> CandidateTable:
+    return source if isinstance(source, CandidateTable) else candidate_table(source)
+
+
+class LevelGrid(Mapping):
+    """Grid levels of table columns, read as (request, provider, service) -> (level0, level1).
+
+    levels[k] belongs to table column columns[k]. The engine reads the
+    arrays; the mapping's keys are built on first use.
+    """
+
+    def __init__(self, table: CandidateTable, columns: np.ndarray, levels: np.ndarray):
+        self.table = table
+        self.columns = columns
+        self.levels = levels
+        self._position: dict[Triple, int] | None = None
+
+    def _positions(self) -> dict[Triple, int]:
+        if self._position is None:
+            self._position = {t: k for k, t in enumerate(self.table.triples(self.columns))}
+        return self._position
+
+    def __getitem__(self, triple: Triple) -> tuple[int, int]:
+        k = self._positions()[triple]
+        return int(self.levels[k, 0]), int(self.levels[k, 1])
+
+    def __iter__(self) -> Iterator[Triple]:
+        return iter(self._positions())
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+
 @dataclass(frozen=True)
 class QuantizedPayments:
     """Payment grid for one solver round.
@@ -61,6 +196,8 @@ class QuantizedPayments:
     for the unselected and selected payment; levels are shifted so the
     maximum over the whole grid is 0. step is the effective tick after
     auto-coarsening (`doublings` times doubled from requested_step).
+    quantize returns the grid as a LevelGrid over its table; any other
+    mapping works too.
     """
 
     step: float
@@ -82,20 +219,12 @@ def candidate_triples(
     excluded_services: Iterable[tuple[int, int]] = (),
 ) -> list[Triple]:
     """Available (request, provider, service) candidates in sorted order."""
-    excluded = set(excluded_services)
-    triples: list[Triple] = []
-    for n in sorted(active_requests):
-        if not (0 <= n < scenario.num_requests):
-            raise ValueError(f"unknown request {n}")
-        for i in sorted(scenario.requests[n].allowed_providers):
-            for j in range(len(scenario.providers[i])):
-                if (i, j) not in excluded:
-                    triples.append((n, i, j))
-    return triples
+    table = candidate_table(scenario)
+    return table.triples(table.columns(active_requests, excluded_services))
 
 
 def quantize(
-    scenario: Scenario,
+    scenario: Scenario | CandidateTable,
     active_requests: Sequence[int],
     step: float = 0.01,
     range_cap: int = 100,
@@ -111,46 +240,88 @@ def quantize(
         raise ValueError(f"step must be positive, got {step}")
     if range_cap < 1:
         raise ValueError(f"range_cap must be at least 1, got {range_cap}")
-    triples = candidate_triples(scenario, active_requests, excluded_services)
-    if not triples:
+    table = _table(scenario)
+    columns = table.columns(active_requests, excluded_services)
+    if not columns.size:
         raise ValueError("no candidate payments to quantize")
-    payments = np.empty((len(triples), 2))
-    for t, (n, i, j) in enumerate(triples):
-        req = scenario.requests[n]
-        svc = scenario.service(i, j)
-        payments[t, 0] = assignment_payment(req, svc, selected=False)
-        payments[t, 1] = assignment_payment(req, svc, selected=True)
+    payments = np.stack([table.pay0[columns], table.pay1[columns]], axis=1)
 
-    # levels stay float64 until they are shifted into [-range_cap, 0]: at a
-    # tiny step payment/step exceeds int64 or overflows to inf, and either
-    # fails the span test and doubles the step
+    # np.rint(p / step) is monotone in p, so the grid spans exactly the
+    # levels of the smallest and largest payment. Levels stay float64 until
+    # they are shifted into [-range_cap, 0]: at a tiny step payment/step
+    # exceeds int64 or overflows to inf, and either fails the span test and
+    # doubles the step
+    low, high = payments.min(), payments.max()
     effective = float(step)
     doublings = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            levels = np.rint(payments / effective)
-            if levels.max() - levels.min() <= range_cap:
-                break
+        while not (np.rint(high / effective) - np.rint(low / effective) <= range_cap):
             effective *= 2.0
             doublings += 1
+        levels = np.rint(payments / effective)
     top = levels.max()
     shifted = (levels - top).astype(np.int64)
-    grid = {
-        triple: (int(shifted[t, 0]), int(shifted[t, 1])) for t, triple in enumerate(triples)
-    }
     return QuantizedPayments(
-        step=effective, requested_step=float(step), shift=int(top), doublings=doublings, grid=grid
+        step=effective,
+        requested_step=float(step),
+        shift=int(top),
+        doublings=doublings,
+        grid=LevelGrid(table, columns, shifted),
     )
 
 
-@dataclass(frozen=True)
+def _round_levels(
+    grid: Mapping[Triple, tuple[int, int]], table: CandidateTable, columns: np.ndarray
+) -> np.ndarray:
+    """(columns, 2) grid levels of a round's columns; a column off the grid is a stale grid."""
+    if isinstance(grid, LevelGrid) and grid.table is table:
+        at = np.minimum(np.searchsorted(grid.columns, columns), grid.columns.size - 1)
+        covered = grid.columns[at] == columns
+        if covered.all():
+            return grid.levels[at]
+        missing = table.triples(columns[~covered][:1])[0]
+    else:
+        triples = table.triples(columns)
+        missing = next((t for t in triples if t not in grid), None)
+        if missing is None:
+            return np.array([grid[t] for t in triples], dtype=np.int64).reshape(-1, 2)
+    raise ValueError(f"quantization grid does not cover {missing} (stale grid?)")
+
+
+class BlockEntries(NamedTuple):
+    """Nonzero entries of a coefficient block: values[k] sits at (rows[k], cols[k])."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def of(cls, matrix) -> BlockEntries:
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2:
+            raise ValueError("expected a 2-d coefficient block")
+        rows, cols = np.nonzero(matrix)
+        return cls(rows, cols, matrix[rows, cols], matrix.shape)
+
+    def dense(self) -> np.ndarray:
+        matrix = np.zeros(self.shape)
+        matrix[self.rows, self.cols] = self.values
+        return matrix
+
+
+@dataclass(frozen=True, eq=False)
 class LambdaLayout:
     """Column/row map for one subproblem LP.
 
-    One x column per candidate triple, in sorted order. Constraint rows are
-    one equality per active request, then one <=1 row per referenced
-    service. `offset` is the constant sum(coeff0) dropped from the LP
-    objective, so LP objective value + offset == scalar level objective.
+    One x column per candidate: columns[t] is its table column, so the
+    columns run in candidate_triples order. Constraint rows are one equality
+    per active request, then one <=1 row per referenced service, services
+    in flat (i, j) order. block holds the constraint block's entries: a 1
+    at each column's request row (the first num_triples entries, in column
+    order), then a 1 at each column's capacity row. `offset` is the constant
+    sum(coeff0) dropped from the LP objective, so LP objective value +
+    offset == scalar level objective.
 
     levels0/levels1 are the integer grid levels behind coeff0/coeff1;
     coeff = K**(-level). They feed lex_cost_rows, which the engine prices
@@ -159,19 +330,21 @@ class LambdaLayout:
     per-level rows stay small integers and compare exactly.
     """
 
-    triples: tuple[Triple, ...]
+    table: CandidateTable
+    columns: np.ndarray
     K: int
     coeff0: np.ndarray
     coeff1: np.ndarray
     levels0: np.ndarray
     levels1: np.ndarray
     request_row_ids: tuple[int, ...]
-    provider_row_services: tuple[tuple[int, int], ...]
+    services: np.ndarray
+    block: BlockEntries
     offset: float
 
     @property
     def num_triples(self) -> int:
-        return len(self.triples)
+        return self.columns.size
 
     @property
     def num_request_rows(self) -> int:
@@ -179,7 +352,23 @@ class LambdaLayout:
 
     @property
     def num_provider_rows(self) -> int:
-        return len(self.provider_row_services)
+        return self.services.size
+
+    @property
+    def triples(self) -> tuple[Triple, ...]:
+        return tuple(self.table.triples(self.columns))
+
+    @property
+    def provider_row_services(self) -> tuple[tuple[int, int], ...]:
+        """(provider, service) of each capacity row."""
+        start = self.table.pool_start
+        providers = np.searchsorted(start, self.services, side="right") - 1
+        return tuple(zip(providers.tolist(), (self.services - start[providers]).tolist()))
+
+    @property
+    def num_levels(self) -> int:
+        """Row count of lex_cost_rows: the grid levels from the deepest to 0."""
+        return 1 - int(min(self.levels0.min(), self.levels1.min()))
 
     def lex_cost_rows(self) -> np.ndarray:
         """Objective as one row per grid level, deepest level first.
@@ -191,40 +380,17 @@ class LambdaLayout:
         level.
         """
         T = self.num_triples
-        deepest = int(min(self.levels0.min(), self.levels1.min()))
-        num_levels = 1 - deepest  # levels run deepest..0
+        num_levels = self.num_levels
+        deepest = 1 - num_levels  # levels run deepest..0
         rows = np.zeros((num_levels, T))
-        np.add.at(rows, (self.levels1 - deepest, np.arange(T)), 1.0)
-        np.add.at(rows, (self.levels0 - deepest, np.arange(T)), -1.0)
+        # each statement touches every column once, so fancy += adds, not overwrites
+        rows[self.levels1 - deepest, np.arange(T)] += 1.0
+        rows[self.levels0 - deepest, np.arange(T)] -= 1.0
         return rows
 
 
-def selection_rows(
-    triples: Sequence[Triple],
-    active: Sequence[int],
-    services: Sequence[tuple[int, int]],
-) -> list[tuple[np.ndarray, str, float]]:
-    """One-service-per-request equalities plus per-service capacity rows."""
-    rows: list[tuple[np.ndarray, str, float]] = []
-    by_request: dict[int, list[int]] = {n: [] for n in active}
-    by_service: dict[tuple[int, int], list[int]] = {s: [] for s in services}
-    for t, (n, i, j) in enumerate(triples):
-        by_request[n].append(t)
-        by_service[(i, j)].append(t)
-    num_cols = len(triples)
-    for n in active:
-        coeffs = np.zeros(num_cols)
-        coeffs[by_request[n]] = 1.0
-        rows.append((coeffs, "=", 1.0))
-    for s in services:
-        coeffs = np.zeros(num_cols)
-        coeffs[by_service[s]] = 1.0
-        rows.append((coeffs, "<=", 1.0))
-    return rows
-
-
 def build_reduced_subproblem_lp(
-    scenario: Scenario,
+    scenario: Scenario | CandidateTable,
     frozen: Mapping[int, tuple[int, int]],
     active_requests: Sequence[int],
     quant: QuantizedPayments,
@@ -237,6 +403,7 @@ def build_reduced_subproblem_lp(
     capacities. Objective sum((coeff1 - coeff0) * x); the constant
     sum(coeff0) lands in layout.offset.
     """
+    table = _table(scenario)
     active = sorted(set(active_requests))
     if not active:
         raise ValueError("no active requests: nothing to optimize")
@@ -247,21 +414,17 @@ def build_reduced_subproblem_lp(
     used = list(frozen.values())
     if len(set(used)) != len(used):
         raise ValueError("frozen assignments collide on a service")
-    triples = candidate_triples(scenario, active, excluded_services=used)
-    per_request = {n: 0 for n in active}
-    for n, _, _ in triples:
-        per_request[n] += 1
-    starved = [n for n, count in per_request.items() if count == 0]
+    columns = table.columns(active, used)
+    requests = table.request[columns]
+    per_request = np.bincount(requests, minlength=table.num_requests)
+    starved = [n for n in active if per_request[n] == 0]
     if starved:
         raise InfeasibleError(f"no remaining candidate services for requests {starved}")
-    missing = [t for t in triples if t not in quant.grid]
-    if missing:
-        raise ValueError(f"quantization grid does not cover {missing[0]} (stale grid?)")
+    levels = _round_levels(quant.grid, table, columns)
 
-    K = max(2, len(triples)) if k_override is None else int(k_override)
+    K = max(2, columns.size) if k_override is None else int(k_override)
     if K < 2:
         raise ValueError(f"K must be at least 2, got {K}")
-    levels = np.array([quant.grid[t] for t in triples], dtype=np.int64)
     deepest = int(-levels.min())
     if deepest * math.log10(K) > MAX_COEFF_EXP10:
         raise ValueError(
@@ -271,47 +434,73 @@ def build_reduced_subproblem_lp(
     coeff0 = float(K) ** (-levels[:, 0]).astype(float)
     coeff1 = float(K) ** (-levels[:, 1]).astype(float)
 
-    services = sorted({(i, j) for _, i, j in triples})
-    rows = selection_rows(triples, active, services)
+    # request rows in active order, then one capacity row per used service
+    request_row = np.zeros(table.num_requests, dtype=np.int64)
+    request_row[active] = np.arange(len(active))
+    flat = table.flat[columns]
+    referenced = np.zeros(table.num_services, dtype=bool)
+    referenced[flat] = True
+    services = referenced.nonzero()[0]
+    capacity_row = len(active) - 1 + np.cumsum(referenced)
+    num_rows = len(active) + services.size
+    T = columns.size
+    block = BlockEntries(
+        rows=np.concatenate((request_row[requests], capacity_row[flat])),
+        cols=np.arange(2 * T) % T,
+        values=np.ones(2 * T),
+        shape=(num_rows, T),
+    )
     layout = LambdaLayout(
-        triples=tuple(triples),
+        table=table,
+        columns=columns,
         K=K,
         coeff0=coeff0,
         coeff1=coeff1,
         levels0=levels[:, 0].copy(),
         levels1=levels[:, 1].copy(),
         request_row_ids=tuple(active),
-        provider_row_services=tuple(services),
+        services=services,
+        block=block,
         offset=float(math.fsum(coeff0)),
     )
-    return StandardLP(num_vars=len(triples), objective=coeff1 - coeff0, rows=rows), layout
+    lp = StandardLP.from_matrix(
+        objective=coeff1 - coeff0,
+        matrix=block.dense(),
+        relations=("=",) * len(active) + ("<=",) * services.size,
+        rhs=np.ones(num_rows),
+    )
+    return lp, layout
 
 
 def assignment_block(lp: StandardLP, layout: LambdaLayout) -> np.ndarray:
     """Coefficient matrix of the request + capacity rows."""
-    count = layout.num_request_rows + layout.num_provider_rows
-    return np.vstack([lp.rows[k][0] for k in range(count)])
+    return lp.matrix[: layout.num_request_rows + layout.num_provider_rows].copy()
 
 
-def verify_row_partition(matrix: np.ndarray, num_request_rows: int) -> tuple[bool, int | None]:
+def verify_row_partition(
+    matrix: np.ndarray | BlockEntries, num_request_rows: int
+) -> tuple[bool, int | None]:
     """Check the two-block structure that guarantees integral LP corners.
 
     Entries must all be 0 or 1 and every column may carry at most one 1
     inside the request-row block and at most one 1 inside the remaining
-    rows. Returns (True, None) or (False, offending_column).
+    rows. The check counts the block's nonzero entries per column; a dense
+    matrix is read as its entries first. Returns (True, None) or (False,
+    offending_column), the lowest such column.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError("expected a 2-d coefficient block")
-    if not (0 <= num_request_rows <= matrix.shape[0]):
+    block = matrix if isinstance(matrix, BlockEntries) else BlockEntries.of(matrix)
+    num_rows, num_cols = block.shape
+    if not (0 <= num_request_rows <= num_rows):
         raise ValueError("num_request_rows out of range")
-    binary = (matrix == 0.0) | (matrix == 1.0)
-    if not binary.all():
-        bad = int(np.flatnonzero(~binary.all(axis=0))[0])
-        return False, bad
-    top = matrix[:num_request_rows].sum(axis=0)
-    bottom = matrix[num_request_rows:].sum(axis=0)
-    offending = np.flatnonzero((top > 1.0) | (bottom > 1.0))
+    nonbinary = block.cols[block.values != 1.0]
+    if nonbinary.size:
+        return False, int(nonbinary.min())
+    top = block.rows < num_request_rows
+    counts = np.maximum(
+        np.bincount(block.cols[top], minlength=num_cols),
+        np.bincount(block.cols[~top], minlength=num_cols),
+    )
+    offending = (counts > 1).nonzero()[0]
     if offending.size:
         return False, int(offending[0])
     return True, None
@@ -344,8 +533,7 @@ def round_to_plan(
         )
     choices: dict[int, tuple[int, int]] = {}
     used = set(frozen.values())
-    for t in np.flatnonzero(rounded == 1):
-        n, i, j = layout.triples[int(t)]
+    for n, i, j in layout.table.triples(layout.columns[rounded == 1]):
         if n in choices:
             raise InvariantError(f"request {n} selects two services in one round")
         if (i, j) in used:

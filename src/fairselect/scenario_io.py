@@ -39,7 +39,7 @@ SCENARIO_VERSION = 1
 PLAN_CSV_HEADER = ["request_id", "provider_id", "service_id", "qos", "payment"]
 TRACE_CSV_HEADER = [
     "round", "request", "provider", "service", "payment", "lp_vars", "lp_rows", "solve_ms",
-    "iterations", "lp_objective", "max_integrality_gap",
+    "iterations", "step", "doublings", "levels", "K", "lp_objective", "max_integrality_gap",
 ]
 
 BASE_SHARE = 0.6
@@ -415,6 +415,10 @@ def trace_to_csv(trace: FassTrace) -> str:
                 r.lp_rows,
                 f"{r.solve_ms:.3f}",
                 r.iterations,
+                repr(r.step),
+                r.doublings,
+                r.levels,
+                r.K,
                 repr(r.lp_objective),
                 repr(r.max_integrality_gap),
             ]

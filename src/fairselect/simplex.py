@@ -16,9 +16,10 @@ in the pivot column, so such a row stays zero and never decides a column.
 The engine's level stacks span every grid level between the deepest and
 the shallowest payment, and many of those levels hold no candidate.
 
-The tableau is a dense C-ordered array. A pivot updates only the rows
-with a nonzero entry in the pivot column: on the engine's round LPs about
-a dozen of a few hundred rows, each a contiguous numpy row operation.
+The tableau is one dense C-ordered array, allocated once per solve and
+filled by slice assignment. A pivot updates only the rows with a nonzero
+entry in the pivot column: on the engine's round LPs about a dozen of a
+few hundred rows, each a contiguous numpy row operation.
 Pricing reads the whole cost block in one vectorized pass: each column's
 deciding level is its first reduced cost beyond the pricing tolerance.
 Pivot selection defaults to Dantzig pricing (most negative reduced cost
@@ -46,39 +47,60 @@ EXACT_PRICE_TOL = 0.5
 Relation = str  # "=" or "<="
 
 
-@dataclass
 class StandardLP:
-    """Minimization LP: objective @ x subject to rows and x >= 0.
+    """Minimization LP: objective @ x subject to matrix @ x (relations) rhs and x >= 0.
 
-    rows is a list of (coefficients, relation, rhs) with relation "=" or
-    "<=".
+    Built from rows, a list of (coefficients, relation, rhs) with relation
+    "=" or "<=", or with from_matrix from the stacked matrix, relations and
+    right-hand sides. Either way it is validated once, as one matrix; rows
+    reads the constraints back as (coefficients, relation, rhs) triples.
     """
 
-    num_vars: int
-    objective: np.ndarray
-    rows: list[tuple[np.ndarray, Relation, float]]
+    def __init__(self, num_vars: int, objective: np.ndarray, rows=()):
+        rows = list(rows)
+        for k, (coeffs, _, _) in enumerate(rows):
+            if np.shape(coeffs) != (num_vars,):
+                raise ValueError(f"row {k} has wrong length")
+        matrix = np.array([c for c, _, _ in rows], dtype=float).reshape(len(rows), num_vars)
+        self._set(objective, matrix, tuple(r for _, r, _ in rows), [b for _, _, b in rows])
 
-    def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
+    @classmethod
+    def from_matrix(cls, objective, matrix, relations, rhs) -> StandardLP:
+        lp = cls.__new__(cls)
+        lp._set(objective, matrix, tuple(relations), rhs)
+        return lp
+
+    def _set(self, objective, matrix, relations, rhs) -> None:
+        self.objective = np.asarray(objective, dtype=float)
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.relations = relations
+        self.rhs = np.asarray(rhs, dtype=float).reshape(-1)
+        self.num_vars = self.matrix.shape[1]
         if self.objective.shape != (self.num_vars,):
             raise ValueError("objective length does not match num_vars")
         if not np.all(np.isfinite(self.objective)):
             raise ValueError("objective coefficients must be finite")
-        checked = []
-        for k, (coeffs, relation, rhs) in enumerate(self.rows):
-            coeffs = np.asarray(coeffs, dtype=float)
-            if coeffs.shape != (self.num_vars,):
-                raise ValueError(f"row {k} has wrong length")
-            if relation not in ("=", "<="):
-                raise ValueError(f"row {k} has unknown relation {relation!r}")
-            if not (np.all(np.isfinite(coeffs)) and math.isfinite(rhs)):
-                raise ValueError(f"row {k} has non-finite entries")
-            checked.append((coeffs, relation, float(rhs)))
-        self.rows = checked
+        if len(relations) != self.matrix.shape[0] or self.rhs.shape != (len(relations),):
+            raise ValueError("matrix, relations and rhs disagree on the row count")
+        unknown = set(relations) - {"=", "<="}
+        if unknown:
+            raise ValueError(f"unknown relation {sorted(unknown)[0]!r}")
+        if not (np.isfinite(self.matrix).all() and np.isfinite(self.rhs).all()):
+            bad = np.flatnonzero(~(np.isfinite(self.matrix).all(axis=1) & np.isfinite(self.rhs)))
+            raise ValueError(f"row {bad[0]} has non-finite entries")
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.relations)
+
+    @property
+    def rows(self) -> list[tuple[np.ndarray, Relation, float]]:
+        return [(self.matrix[k], rel, float(self.rhs[k])) for k, rel in enumerate(self.relations)]
+
+    @property
+    def le_rows(self) -> np.ndarray:
+        """Indices of the <= rows, each of which gets one slack column."""
+        return np.array([k for k, rel in enumerate(self.relations) if rel == "<="], dtype=np.int64)
 
 
 @dataclass
@@ -96,7 +118,7 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     column = T[:, col].copy()
     column[row] = 0.0
-    rows = np.flatnonzero(column)
+    rows = column.nonzero()[0]
     T[rows] -= np.outer(column[rows], T[row])
     T[:, col] = 0.0
     T[row, col] = 1.0
@@ -110,24 +132,38 @@ class _Tableau:
     ordinary simplex.
     """
 
-    def __init__(self, A, b, n_price, basis, costs, price_tol=EPS_FEAS):
-        self.m = A.shape[0]
-        self.n_cols = A.shape[1]
+    def __init__(self, A, b, n_price, basis, costs, price_tol=EPS_FEAS, unit_rows=()):
+        """Tableau [A | units | b] over [costs | 0]; allocated once, filled by slices.
+
+        unit_rows appends one unit column per listed row (slacks, then
+        artificials); cost rows may be narrower than the tableau, the
+        missing columns cost 0.
+        """
+        self.m, n_struct = A.shape
+        unit_rows = np.asarray(unit_rows, dtype=np.int64)
+        self.n_cols = n_struct + unit_rows.size
         self.n_price = n_price  # columns eligible to enter (excludes artificials)
         self.price_tol = price_tol
-        self.T = np.block([[A, b[:, None]], [costs, np.zeros((costs.shape[0], 1))]])
+        self.T = np.zeros((self.m + costs.shape[0], self.n_cols + 1))
+        self.T[: self.m, :n_struct] = A
+        self.T[unit_rows, n_struct + np.arange(unit_rows.size)] = 1.0
+        self.T[: self.m, self.n_cols] = b
+        self.T[self.m :, : costs.shape[1]] = costs
         self.basis = np.asarray(basis, dtype=np.int64)
         self.iterations = 0
         self.rule = "dantzig"
         self._degenerate_streak = 0
 
     def reduce_cost_row(self, which: int, costs: np.ndarray) -> None:
-        """Recompute cost row `which` as reduced costs for the current basis."""
+        """Recompute cost row `which` as reduced costs for the current basis.
+
+        costs covers the leading columns; the rest cost 0.
+        """
         row = self.m + which
-        self.T[row, : self.n_cols] = costs
-        self.T[row, self.n_cols] = 0.0
-        weights = costs[self.basis] if self.m else np.zeros(0)
-        nz = np.flatnonzero(weights)
+        self.T[row] = 0.0
+        self.T[row, : costs.size] = costs
+        weights = self.T[row, self.basis]
+        nz = weights.nonzero()[0]
         if nz.size:
             self.T[row, :] -= weights[nz] @ self.T[nz, :]
 
@@ -183,7 +219,7 @@ class _Tableau:
         ratios = np.full(self.m, np.inf)
         ratios[positive] = rhs[positive] / column[positive]
         best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
+        ties = (ratios <= best + 1e-12 * (1.0 + abs(best))).nonzero()[0]
         if ties.size == 1:
             return int(ties[0])
         if self.rule == "bland":
@@ -217,34 +253,17 @@ class _Tableau:
                 raise InvariantError(f"simplex exceeded {max_iters} iterations (rule {self.rule})")
 
 
-def _standardize(lp: StandardLP):
-    """Dense constraint matrix with one slack column per <= row."""
-    n = lp.num_vars
-    le_rows = [k for k, (_, rel, _) in enumerate(lp.rows) if rel == "<="]
-    n_slack = len(le_rows)
-    A = np.zeros((lp.num_rows, n + n_slack))
-    b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
-    for k, (coeffs, _, _) in enumerate(lp.rows):
-        A[k, :n] = coeffs
-    slack_of_row = {}
-    for s, k in enumerate(le_rows):
-        A[k, n + s] = 1.0
-        slack_of_row[k] = n + s
-    return A, b, n, n_slack, slack_of_row
-
-
-def _cost_matrix(lp, lex_costs, n_struct, n_slack):
-    """Phase-2 cost rows that are not identically zero; slack columns cost 0."""
+def _cost_matrix(lp, lex_costs):
+    """Phase-2 cost rows over the structural columns that are not identically zero."""
     if lex_costs is None:
         rows = lp.objective[None, :]
     else:
         rows = np.asarray(lex_costs, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != n_struct:
+        if rows.ndim != 2 or rows.shape[1] != lp.num_vars:
             raise ValueError("lex_costs must have shape (levels, num_vars)")
         if not np.all(np.isfinite(rows)):
             raise ValueError("lex_costs entries must be finite")
-    rows = rows[np.any(rows != 0.0, axis=1)]
-    return np.hstack([rows, np.zeros((rows.shape[0], n_slack))])
+    return rows[np.any(rows != 0.0, axis=1)]
 
 
 def solve(
@@ -275,29 +294,29 @@ def solve(
         raise ValueError(f"unknown pivot rule {pivot_rule!r}")
     if lex_exact and lex_costs is None:
         raise ValueError("lex_exact requires lex_costs")
-    A, b, n_struct, n_slack, slack_of_row = _standardize(lp)
-    costM = _cost_matrix(lp, lex_costs, n_struct, n_slack)
-    if lex_exact and not np.array_equal(costM, np.rint(costM)):
+    costs = _cost_matrix(lp, lex_costs)
+    if lex_exact and not np.array_equal(costs, np.rint(costs)):
         raise ValueError("lex_exact requires integer lex_costs")
     price_tol = EXACT_PRICE_TOL if lex_exact else EPS_FEAS
-    n_levels = costM.shape[0]
-    m = A.shape[0]
-    n_real = n_struct + n_slack
+    n_levels = costs.shape[0]
+    m, n_struct = lp.num_rows, lp.num_vars
+    le_rows = lp.le_rows
+    n_real = n_struct + le_rows.size
     budget = max_iters if max_iters is not None else 5000 + 60 * (m + n_real)
 
     tab: _Tableau | None = None
     if initial_basis is not None:
         basis = np.asarray(initial_basis, dtype=np.int64)
         if basis.shape == (m,) and np.all((basis >= 0) & (basis < n_real)):
-            candidate = _Tableau(A, b, n_real, basis.copy(), costM, price_tol)
+            candidate = _Tableau(lp.matrix, lp.rhs, n_real, basis.copy(), costs, price_tol, le_rows)
             candidate.rule = pivot_rule
             if candidate.canonicalize_basis():
                 for r in range(n_levels):
-                    candidate.reduce_cost_row(r, costM[r])
+                    candidate.reduce_cost_row(r, costs[r])
                 tab = candidate
 
     if tab is None:
-        tab = _phase_one(A, b, costM, n_real, slack_of_row, pivot_rule, budget, price_tol)
+        tab = _phase_one(lp, le_rows, costs, pivot_rule, budget, price_tol)
         if tab is None:
             return LPSolution(status="infeasible")
 
@@ -306,10 +325,8 @@ def solve(
         return LPSolution(status="unbounded", iterations=tab.iterations)
 
     values = np.zeros(n_struct)
-    rhs = tab.T[: tab.m, tab.n_cols]
-    for i, c in enumerate(tab.basis):
-        if c < n_struct:
-            values[c] = rhs[i]
+    structural = tab.basis < n_struct
+    values[tab.basis[structural]] = tab.T[: tab.m, tab.n_cols][structural]
     values = np.maximum(values, 0.0)
     objective_value = float(lp.objective @ values)
     return LPSolution(
@@ -317,40 +334,40 @@ def solve(
     )
 
 
-def _phase_one(A, b, costM, n_real, slack_of_row, pivot_rule, budget, price_tol) -> _Tableau | None:
+def _phase_one(lp, le_rows, costs, pivot_rule, budget, price_tol) -> _Tableau | None:
     """Two-phase start: returns a feasible canonical tableau or None."""
-    m, n_levels = A.shape[0], costM.shape[0]
-    flip = b < 0
-    A = A.copy()
-    A[flip] *= -1.0
-    b = np.abs(b)
+    m, n_struct = lp.num_rows, lp.num_vars
+    n_levels = costs.shape[0]
+    n_real = n_struct + le_rows.size
+    flip = lp.rhs < 0
     # rows whose slack survives the sign flip start basic; the rest get artificials
     basis = np.full(m, -1, dtype=np.int64)
-    needs_artificial = []
-    for k in range(m):
-        s = slack_of_row.get(k)
-        if s is not None and not flip[k]:
-            basis[k] = s
-        else:
-            needs_artificial.append(k)
-    n_art = len(needs_artificial)
+    kept = ~flip[le_rows]
+    basis[le_rows[kept]] = n_struct + np.flatnonzero(kept)
+    needs_artificial = np.flatnonzero(basis < 0)
+    n_art = needs_artificial.size
     if n_art == 0:
-        tab = _Tableau(A, b, n_real, basis, costM, price_tol)
+        tab = _Tableau(lp.matrix, np.abs(lp.rhs), n_real, basis, costs, price_tol, le_rows)
         tab.rule = pivot_rule
         if not tab.canonicalize_basis():  # pragma: no cover - slack basis is identity
             raise InvariantError("slack basis rejected")
         for r in range(n_levels):
-            tab.reduce_cost_row(r, costM[r])
+            tab.reduce_cost_row(r, costs[r])
         return tab
 
-    A_ext = np.hstack([A, np.zeros((m, n_art))])
+    basis[needs_artificial] = n_real + np.arange(n_art)
     art_cost = np.zeros(n_real + n_art)
-    for t, k in enumerate(needs_artificial):
-        A_ext[k, n_real + t] = 1.0
-        basis[k] = n_real + t
-        art_cost[n_real + t] = 1.0
-    costM_ext = np.hstack([costM, np.zeros((n_levels, n_art))])
-    tab = _Tableau(A_ext, b, n_real, basis, np.vstack([costM_ext, art_cost]), price_tol)
+    art_cost[n_real:] = 1.0
+    costs_ext = np.zeros((n_levels + 1, n_real + n_art))
+    costs_ext[:n_levels, :n_struct] = costs
+    costs_ext[n_levels] = art_cost
+    tab = _Tableau(
+        lp.matrix, lp.rhs, n_real, basis, costs_ext, price_tol,
+        np.concatenate([le_rows, needs_artificial]),
+    )
+    # flip the rows with a negative rhs (their slack too, not their artificial)
+    tab.T[np.flatnonzero(flip), :n_real] *= -1.0
+    tab.T[:m, tab.n_cols] = np.abs(lp.rhs)
     tab.rule = pivot_rule
     if not tab.canonicalize_basis():  # pragma: no cover - artificial basis is identity
         raise InvariantError("artificial basis rejected")
@@ -373,5 +390,5 @@ def _phase_one(A, b, costM, n_real, slack_of_row, pivot_rule, budget, price_tol)
     tab.T = tab.T[: tab.m + n_levels]
     tab._degenerate_streak = 0
     for r in range(n_levels):
-        tab.reduce_cost_row(r, costM_ext[r])
+        tab.reduce_cost_row(r, costs[r])
     return tab

@@ -67,6 +67,43 @@ def test_oracle_check_matches(scenario_file, capsys):
     assert "MATCH sorted=(0.5,1.5)" in capsys.readouterr().out
 
 
+def _oracle_precision(line):
+    fields = dict(token.split("=", 1) for token in line.split()[1:])
+    return float(fields["max_step"]), float(fields["max_gap"])
+
+
+def test_oracle_check_reports_its_precision(scenario_file, tmp_path, capsys):
+    from fairselect import FassConfig, brute_force_mmf, load_scenario, run_fass
+
+    def expected(path, **config):
+        scenario = load_scenario(path)
+        result = run_fass(scenario, FassConfig(**config))
+        best = brute_force_mmf(scenario).optimal_sorted
+        gap = max(abs(u - v) for u, v in zip(result.payments.sorted_view, best))
+        return max(r.step for r in result.trace.rounds), gap
+
+    assert main(["oracle-check", scenario_file]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("MATCH ")
+    assert _oracle_precision(line) == pytest.approx(expected(scenario_file), rel=1e-5, abs=1e-12)
+
+    # a one-level grid coarsens the step far past --step, and the engine misses
+    path = tmp_path / "coarse.json"
+    write_scenario(
+        make_scenario(
+            pools=[[4.47], [4.821, 0.784]],
+            requests=[({0, 1}, 0.37, 1.33, 1.09), ({0, 1}, 1.79, 1.03, 3.69)],
+        ),
+        str(path),
+    )
+    assert main(["oracle-check", str(path), "--range-cap", "1"]) == 4
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("MISMATCH ")
+    step, gap = _oracle_precision(line)
+    assert (step, gap) == pytest.approx(expected(str(path), range_cap=1), rel=1e-5)
+    assert gap > 0.01 and step > 1.0
+
+
 def test_oracle_check_rejects_oversized_search_space(tmp_path, capsys):
     # 10 requests over 9 providers x 5 services blows the enumeration cap;
     # the CLI should refuse cleanly instead of leaking a traceback

@@ -12,6 +12,7 @@ from fairselect import (
     brute_force_mmf,
     build_reduced_subproblem_lp,
     check_feasible,
+    effective_range_cap,
     ip_iterative,
     payment_vector,
     quantize,
@@ -20,7 +21,7 @@ from fairselect import (
 )
 import fairselect.fass as fass_module
 from fairselect.fass import select_min_payment_request
-from fairselect.lex_transform import round_to_plan
+from fairselect.lex_transform import candidate_triples, round_to_plan
 
 from conftest import (
     feasible_scenarios,
@@ -186,3 +187,27 @@ def test_out_of_range_config_is_rejected():
     for kwargs in ({"step": 0.0}, {"step": -1.0}, {"step": math.nan}, {"step": math.inf}, {"range_cap": 0}):
         with pytest.raises(ValueError):
             FassConfig(**kwargs)
+
+
+def test_round_records_report_their_precision():
+    # rebuild each round's grid the way perfbench's measure.effective_steps does
+    doublings = 0
+    for config in (FassConfig(), FassConfig(step=0.001, range_cap=8)):
+        for scenario in feasible_scenarios(random_scenario, 15, seed=23):
+            result = run_fass(scenario, config)
+            active = list(range(scenario.num_requests))
+            frozen = {}
+            for record in result.trace.rounds:
+                removed = list(frozen.values())
+                n_triples = len(candidate_triples(scenario, active, excluded_services=removed))
+                cap = effective_range_cap(config.range_cap, n_triples, config.k_base)
+                quant = quantize(scenario, active, config.step, cap, excluded_services=removed)
+                _, layout = build_reduced_subproblem_lp(scenario, frozen, active, quant)
+                assert record.step == quant.step
+                assert record.doublings == quant.doublings
+                assert record.levels == layout.lex_cost_rows().shape[0]
+                assert record.K == layout.K == max(2, n_triples)
+                doublings += record.doublings
+                active.remove(record.request_id)
+                frozen[record.request_id] = (record.provider_id, record.service_id)
+    assert doublings > 0

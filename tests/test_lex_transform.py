@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import warnings
 
 import numpy as np
@@ -13,22 +14,25 @@ from fairselect import (
     InvariantError,
     NonIntegralSolutionError,
     QuantizedPayments,
+    assignment_payment,
     build_reduced_subproblem_lp,
     effective_range_cap,
     enumerate_feasible,
     quantize,
+    saturating_matching,
     solve,
     verify_row_partition,
     xi_score,
 )
 from fairselect.lex_transform import (
     assignment_block,
+    candidate_table,
     candidate_triples,
     round_to_plan,
 )
 from fairselect.simplex import LPSolution
 
-from conftest import make_scenario, two_request_scenario
+from conftest import feasible_scenarios, make_scenario, random_scenario, two_request_scenario
 
 
 def test_xi_examples():
@@ -354,3 +358,119 @@ def test_k_override_changes_the_base():
     quant = quantize(scenario, [0, 1], step=0.5)
     _, layout = build_reduced_subproblem_lp(scenario, {}, [0, 1], quant, k_override=16)
     assert layout.K == 16
+
+
+def reference_triples(scenario, active, excluded=()):
+    """The candidate enumeration as a plain loop over requests, providers and pools."""
+    excluded = set(excluded)
+    return [
+        (n, i, j)
+        for n in sorted(active)
+        for i in sorted(scenario.requests[n].allowed_providers)
+        for j in range(len(scenario.providers[i]))
+        if (i, j) not in excluded
+    ]
+
+
+@st.composite
+def priced_scenarios(draw):
+    """Scenarios with a zero-bonus request and one whose every payment is negative.
+
+    Request 0 has no bonus. Request 1 reaches every provider with a bonus
+    above its base and a baseline below every QoS (all at least 1), so
+    each of its selected payments is below zero.
+    """
+    n_providers = draw(st.integers(1, 3))
+    pools = [
+        draw(st.lists(st.floats(1.0, 20.0), min_size=1, max_size=3)) for _ in range(n_providers)
+    ]
+    providers = st.sets(st.integers(0, n_providers - 1), min_size=1)
+    requests = [
+        (draw(providers), draw(st.floats(0.0, 5.0)), 0.0, draw(st.floats(0.1, 5.0))),
+        (set(range(n_providers)), draw(st.floats(0.0, 1.0)), draw(st.floats(2.0, 5.0)),
+         draw(st.floats(0.05, 0.5))),
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        requests.append(
+            (draw(providers), draw(st.floats(0.0, 5.0)), draw(st.sampled_from([0.0, 0.7, 3.3])),
+             draw(st.floats(0.1, 20.0)))
+        )
+    return make_scenario(pools, requests)
+
+
+@given(priced_scenarios())
+def test_candidate_table_payments_are_exact(scenario):
+    table = candidate_table(scenario)
+    triples = reference_triples(scenario, range(scenario.num_requests))
+    assert table.triples(np.arange(len(table.request))) == triples
+    assert candidate_triples(scenario, range(scenario.num_requests)) == triples
+    for t, (n, i, j) in enumerate(triples):
+        request, service = scenario.requests[n], scenario.service(i, j)
+        assert table.flat[t] == table.pool_start[i] + j
+        assert table.pay0[t] == assignment_payment(request, service, selected=False)
+        assert table.pay1[t] == assignment_payment(request, service, selected=True)
+    assert (table.pay1 < 0.0).any()
+    assert (table.pay0 == table.pay1).any()  # the zero-bonus request
+
+
+def reference_lp(scenario, frozen, active, quant):
+    """Dense round LP built row by row from the reference enumeration."""
+    triples = reference_triples(scenario, active, frozen.values())
+    services = sorted({(i, j) for _, i, j in triples})
+    rows = [np.array([float(t[0] == n) for t in triples]) for n in sorted(active)]
+    rows += [np.array([float(t[1:] == s) for t in triples]) for s in services]
+    relations = ["="] * len(active) + ["<="] * len(services)
+    K = max(2, len(triples))
+    levels = [quant.grid[t] for t in triples]
+    # numpy's vectorized pow, as the builder uses; Python's ** may differ in the last bit
+    coeff0, coeff1 = (float(K) ** -np.array(side, dtype=float) for side in zip(*levels))
+    objective = coeff1 - coeff0
+    deepest = min(min(pair) for pair in levels)
+    lex = np.zeros((1 - deepest, len(triples)))
+    for t, (l0, l1) in enumerate(levels):
+        lex[l1 - deepest, t] += 1.0
+        lex[l0 - deepest, t] -= 1.0
+    return triples, services, np.array(rows).reshape(-1, len(triples)), relations, objective, lex
+
+
+def test_index_array_lp_matches_a_dense_reference():
+    rng = random.Random(31)
+    rounds = 0
+    for scenario in feasible_scenarios(random_scenario, 60, seed=31):
+        matching = saturating_matching(scenario)
+        order = rng.sample(range(scenario.num_requests), scenario.num_requests)
+        for k in range(scenario.num_requests):
+            frozen = {n: matching[n] for n in order[:k]}
+            active = order[k:]
+            quant = quantize(scenario, active, step=rng.choice([0.01, 0.3]),
+                             range_cap=rng.choice([3, 100]), excluded_services=frozen.values())
+            lp, layout = build_reduced_subproblem_lp(scenario, frozen, active, quant)
+            triples, services, matrix, relations, objective, lex = reference_lp(
+                scenario, frozen, active, quant
+            )
+            assert layout.triples == tuple(triples)
+            assert layout.provider_row_services == tuple(services)
+            assert np.array_equal(lp.matrix, matrix)
+            assert [(list(c), rel, rhs) for c, rel, rhs in lp.rows] == [
+                (list(row), rel, 1.0) for row, rel in zip(matrix, relations)
+            ]
+            assert np.array_equal(lp.objective, objective)
+            assert np.array_equal(layout.lex_cost_rows(), lex)
+            assert verify_row_partition(layout.block, layout.num_request_rows) == (True, None)
+            assert np.array_equal(layout.block.dense(), matrix)
+            rounds += 1
+    assert rounds > 150
+
+
+def test_verify_row_partition_reads_block_entries():
+    scenario = two_request_scenario()
+    lp, layout = build_reduced_subproblem_lp(scenario, {}, [0, 1], quantize(scenario, [0, 1]))
+    block = layout.block
+    assert verify_row_partition(block, 2) == verify_row_partition(block.dense(), 2) == (True, None)
+    # a second 1 for column 2 in request row 0
+    doubled = block._replace(
+        rows=np.append(block.rows, 0), cols=np.append(block.cols, 2), values=np.append(block.values, 1.0)
+    )
+    assert verify_row_partition(doubled, 2) == (False, 2)
+    halved = block._replace(values=np.where(block.cols == 3, 0.5, block.values))
+    assert verify_row_partition(halved, 2) == (False, 3)
