@@ -79,6 +79,8 @@ class RoundRecord:
     doublings: int  # times the requested step was doubled to fit the level range
     levels: int  # row count of the round's lex_cost_rows
     K: int  # objective base
+    pricing_ms: float  # simplex time choosing entering columns; 0 for ip_iterative rounds
+    pivot_ms: float  # simplex time in ratio tests and pivots; 0 for ip_iterative rounds
     max_integrality_gap: float  # worst |x - round(x)| over the selection block
 
 
@@ -217,6 +219,8 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
                 doublings=quant.doublings,
                 levels=layout.num_levels,
                 K=layout.K,
+                pricing_ms=solution.pricing_ms,
+                pivot_ms=solution.pivot_ms,
                 max_integrality_gap=integrality_gap,
             )
         )

@@ -292,9 +292,15 @@ def saturating_matching(
     limit.
     """
     excluded = set(excluded_services)
-    pools: dict[int, list[tuple[int, int]]] = {}
-    for n in range(scenario.num_requests):
-        pools[n] = [s.key for s in scenario.candidate_pool(n) if s.key not in excluded]
+    # each provider's free keys are built once; a request's pool is
+    # candidate_pool's order: its providers ascending, then service index
+    free = [
+        [(i, j) for j in range(len(services)) if (i, j) not in excluded]
+        for i, services in enumerate(scenario.providers)
+    ]
+    pools = [
+        [key for i in sorted(req.allowed_providers) for key in free[i]] for req in scenario.requests
+    ]
     owner: dict[tuple[int, int], int] = {}
 
     def try_assign(root: int) -> bool:

@@ -39,7 +39,8 @@ SCENARIO_VERSION = 1
 PLAN_CSV_HEADER = ["request_id", "provider_id", "service_id", "qos", "payment"]
 TRACE_CSV_HEADER = [
     "round", "request", "provider", "service", "payment", "lp_vars", "lp_rows", "solve_ms",
-    "iterations", "step", "doublings", "levels", "K", "lp_objective", "max_integrality_gap",
+    "iterations", "step", "doublings", "levels", "K", "pricing_ms", "pivot_ms", "lp_objective",
+    "max_integrality_gap",
 ]
 
 BASE_SHARE = 0.6
@@ -419,6 +420,8 @@ def trace_to_csv(trace: FassTrace) -> str:
                 r.doublings,
                 r.levels,
                 r.K,
+                f"{r.pricing_ms:.3f}",
+                f"{r.pivot_ms:.3f}",
                 repr(r.lp_objective),
                 repr(r.max_integrality_gap),
             ]

@@ -146,6 +146,27 @@ def test_round_records_carry_simplex_iterations(monkeypatch):
     assert sum(seen) > 0
 
 
+def test_round_records_carry_simplex_timings(monkeypatch):
+    seen = []
+
+    def timed_solve(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        seen.append((solution.pricing_ms, solution.pivot_ms))
+        return solution
+
+    monkeypatch.setattr(fass_module, "solve", timed_solve)
+    pivoted = 0.0
+    for scenario in feasible_scenarios(random_scenario, 10, seed=19):
+        seen.clear()
+        rounds = run_fass(scenario).trace.rounds
+        assert [(r.pricing_ms, r.pivot_ms) for r in rounds] == seen
+        for r in rounds:
+            assert r.pricing_ms >= 0.0 and r.pivot_ms >= 0.0
+            assert r.pricing_ms + r.pivot_ms <= r.solve_ms  # parts of the timed solve
+            pivoted += r.pivot_ms
+    assert pivoted > 0.0
+
+
 def test_plans_are_always_feasible_on_random_scenarios():
     for scenario in feasible_scenarios(random_scenario, 30, seed=2):
         result = run_fass(scenario)

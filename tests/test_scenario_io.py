@@ -243,6 +243,16 @@ def test_trace_csv_iterations_column():
     assert [int(row[column]) for row in rows] == [r.iterations for r in result.trace.rounds]
 
 
+def test_trace_csv_timing_columns():
+    result = run_fass(two_request_scenario())
+    column = TRACE_CSV_HEADER.index("pricing_ms")
+    expected = ["K", "pricing_ms", "pivot_ms", "lp_objective"]
+    assert TRACE_CSV_HEADER[column - 1 : column + 3] == expected
+    rows = [line.split(",") for line in trace_to_csv(result.trace).splitlines()[1:]]
+    for row, record in zip(rows, result.trace.rounds):
+        assert row[column : column + 2] == [f"{record.pricing_ms:.3f}", f"{record.pivot_ms:.3f}"]
+
+
 def test_write_text_ignores_a_stray_temp_name(tmp_path):
     # a fixed "<path>.tmp" name would collide with this directory
     path = tmp_path / "out.csv"

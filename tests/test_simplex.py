@@ -1,5 +1,7 @@
 """Solver unit tests: hand LPs, scipy cross-checks, lexicographic pricing."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +12,7 @@ from fairselect import (
     StandardLP,
     solve,
 )
-from fairselect.simplex import EPS_FEAS, EXACT_PRICE_TOL, _Tableau
+from fairselect.simplex import EPS_FEAS, EXACT_PRICE_TOL, _deciding, _pivot, _Tableau
 
 
 def lp(objective, rows, **kw):
@@ -266,3 +268,129 @@ def test_one_pass_pricing_matches_row_by_row(priced, rule):
     tab.rule = rule
     expected = row_by_row_entering(tab.T, tab.m, tab.n_price, price_rows, rule, tab.price_tol)
     assert tab._entering(price_rows) == expected
+
+
+class _CheckedTableau(_Tableau):
+    """Asserts, at every entering-column choice of run, that the maintained state is fresh."""
+
+    checked_rows = range(0)
+    checks = 0
+
+    def _select(self, level, value):
+        fresh_level, fresh_value = _deciding(self._cost_block(self.checked_rows), self.price_tol)
+        assert np.array_equal(level, fresh_level)
+        assert np.array_equal(value, fresh_value)
+        self.checks += 1
+        return super()._select(level, value)
+
+
+def cells(values, count):
+    return st.lists(st.sampled_from(values), min_size=count, max_size=count)
+
+
+@st.composite
+def feasible_tableaus(draw):
+    """Slack-basis tableaus [A | I | b >= 0] under small-integer cost stacks.
+
+    Zero rows, zero columns, ties and sub-threshold entries as in
+    priced_tableaus; zero right-hand sides make degenerate pivots, and in
+    a cost stack priced as in phase 1 only the last row decides while the
+    rows above it change unpriced.
+    """
+    tol = draw(st.sampled_from([EPS_FEAS, EXACT_PRICE_TOL]))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 8))
+    levels = draw(st.integers(1, 5))
+    A = np.array(draw(cells([0.0, 0.0, 1.0, 1.0, 2.0], m * n))).reshape(m, n)
+    b = np.array(draw(cells([0.0, 1.0, 2.0, 3.0], m)))
+    entries = [-2.0, -1.0, 1.0, 2.0, 0.0, 0.0, 0.0, -tol / 2, tol / 2]
+    costs = np.array(draw(cells(entries, levels * n))).reshape(levels, n)
+    costs[draw(st.lists(st.integers(0, levels - 1), max_size=levels))] = 0.0
+    costs[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
+    n_price = n + m - draw(st.integers(0, m - 1))  # trailing slacks play artificials
+    tab = _CheckedTableau(A, b, n_price, n + np.arange(m), costs, tol, np.arange(m))
+    tab.checked_rows = draw(st.sampled_from([range(levels), range(levels - 1, levels)]))
+    return tab
+
+
+@given(feasible_tableaus(), st.sampled_from(["dantzig", "bland"]))
+def test_incremental_pricing_never_drifts(tab, rule):
+    tab.rule = rule
+    try:
+        status = tab.run(tab.checked_rows, max_iters=1000)
+    except InvariantError:
+        # the exact tolerance misprices once pivots make entries fractional,
+        # and can cycle; every pivot up to the budget was still checked
+        assert tab.price_tol == EXACT_PRICE_TOL
+        assert tab.checks == tab.iterations
+    else:
+        assert status in ("optimal", "unbounded")
+        assert tab.checks == tab.iterations + 1  # once at the start, then after every pivot
+
+
+def per_iteration_run(self, price_rows, max_iters):
+    """Reference loop: a full pricing pass (_entering) at every iteration."""
+    degen_limit = max(200, 2 * self.m)
+    while True:
+        col = self._entering(price_rows)
+        if col is None:
+            return "optimal"
+        row = self._leaving(col)
+        if row is None:
+            return "unbounded"
+        if self.T[row, self.n_cols] <= 1e-12:
+            self._degenerate_streak += 1
+            if self._degenerate_streak > degen_limit:
+                self.rule = "bland"
+        else:
+            self._degenerate_streak = 0
+        _pivot(self.T, row, col)
+        self.basis[row] = col
+        self.iterations += 1
+        if self.iterations > max_iters:
+            raise InvariantError(f"simplex exceeded {max_iters} iterations")
+
+
+@st.composite
+def lex_lps(draw):
+    """Small LPs with "=" and "<=" rows, integer cost stacks and an optional slack start."""
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(1, 4))
+    rows = [
+        (
+            np.array(draw(cells([0.0, 1.0, 1.0, 2.0], n))),
+            draw(st.sampled_from(["=", "<=", "<="])),
+            float(draw(st.sampled_from([0.0, 1.0, 2.0, 3.0]))),
+        )
+        for _ in range(m)
+    ]
+    rows.append((np.ones(n), "<=", 6.0))  # bounded
+    levels = draw(st.integers(1, 4))
+    lex_costs = np.array(draw(cells([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0], levels * n)))
+    lex_costs = lex_costs.reshape(levels, n)
+    problem = lp(lex_costs[0], rows)
+    warm = list(range(n, n + m + 1)) if draw(st.booleans()) else None
+    return problem, lex_costs, warm
+
+
+@given(lex_lps(), st.sampled_from(["dantzig", "bland"]))
+def test_incremental_solve_matches_per_iteration_pricing(case, rule):
+    # default tolerance: these rows are not the selection rows lex_exact asserts
+    problem, lex_costs, warm = case
+    kwargs = dict(initial_basis=warm, pivot_rule=rule, lex_costs=lex_costs)
+    ours = solve(problem, **kwargs)
+    with mock.patch.object(_Tableau, "run", per_iteration_run):
+        reference = solve(problem, **kwargs)
+    assert ours.status == reference.status
+    assert ours.iterations == reference.iterations
+    if reference.values is None:
+        assert ours.values is None
+    else:
+        assert np.array_equal(ours.values, reference.values)
+
+
+def test_solution_reports_pricing_and_pivot_time():
+    problem = lp([1.0, 1.0, 1.0, 1.0], assignment_lp())
+    solution = solve(problem, lex_costs=np.array([[1.0, -1.0, -1.0, 1.0]]), lex_exact=True)
+    assert solution.status == "optimal" and solution.iterations > 0
+    assert solution.pricing_ms > 0.0 and solution.pivot_ms > 0.0
