@@ -44,3 +44,9 @@ print(f"\nLP: {lp.num_vars} vars, {len(lp.rows)} rows, K = {layout.K}")
 solution = solve(lp, lex_costs=layout.lex_cost_rows(), lex_exact=True)
 plan = round_to_plan(solution, layout, {})
 print(f"optimal plan: {dict(sorted(plan.choices.items()))}")
+
+# the LP weighs only the selected payments' levels, so its optimal value is
+# the score of the levels the plan chose
+chosen = [level for level, x in zip(layout.levels.tolist(), solution.values) if round(x) == 1]
+print(f"LP objective {solution.objective_value:.6f}, "
+      f"xi_score{tuple(chosen)} {xi_score(chosen, layout.K):.6f}")

@@ -209,12 +209,7 @@ def branch_and_bound_lp(
     )
 
 
-def ip_iterative(
-    scenario: Scenario,
-    *,
-    step: float = 0.01,
-    range_cap: int = 100,
-) -> IPResult:
+def ip_iterative(scenario: Scenario) -> IPResult:
     """Max-min fair assignment with every round solved as an integer program.
 
     Runs the same freeze loop as the fair engine but hands each round to
@@ -236,9 +231,7 @@ def ip_iterative(
             status=result.status, values=result.values, objective_value=result.objective_value
         )
 
-    result = freeze_rounds(
-        scenario, FassConfig(step=step, range_cap=range_cap), cold_branch_and_bound
-    )
+    result = freeze_rounds(scenario, FassConfig(), cold_branch_and_bound)
     return IPResult(
         plan=result.plan,
         payments=result.payments,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import ip_iterative, randomized_mean, revenue_max
 from .errors import InfeasibleError
-from .fass import FassConfig, run_fass
+from .fass import run_fass
 from .model import PaymentVector, Scenario, payment_vector, total_revenue
 from .scenario_io import QosMatrix, generate_scenario, write_text
 
@@ -32,6 +32,8 @@ TIMING_CSV_HEADER = ["vars", "algorithm", "mean_ms", "reps"]
 # variable count is 90 * pool_size under all-provider authorization
 SWEEP_N_REQUESTS = 10
 SWEEP_N_PROVIDERS = 9
+SCENARIO_ATTEMPTS = 50  # seeds tried per scenario before giving up
+TIMING_PRICING_LEVEL = 4.0
 DEFAULT_LADDER = (450, 900, 1800, 2700, 3600, 4500)
 
 
@@ -77,17 +79,14 @@ def _scenario_for(
     constraint_density: float,
     pricing_level: float,
     seed: int,
-    n_requests: int = SWEEP_N_REQUESTS,
-    n_providers: int = SWEEP_N_PROVIDERS,
-    attempts: int = 50,
 ) -> Scenario:
     # infeasible draws are skipped by bumping the seed, never reused
-    for attempt in range(attempts):
+    for attempt in range(SCENARIO_ATTEMPTS):
         try:
             return generate_scenario(
                 matrix,
-                n_requests=n_requests,
-                n_providers=n_providers,
+                n_requests=SWEEP_N_REQUESTS,
+                n_providers=SWEEP_N_PROVIDERS,
                 pool_size=pool_size,
                 constraint_density=constraint_density,
                 pricing_level=pricing_level,
@@ -107,17 +106,15 @@ def pricing_sweep(
     constraint_density: float = 0.5,
     randomized_runs: int = 1000,
     seed: int = 0,
-    step: float = 0.01,
-    range_cap: int = 100,
 ) -> list[SweepRow]:
     """Mean payment deviation and revenue per (pricing level, algorithm).
 
-    Every scenario is solved by the fair engine, the revenue maximizer,
-    and the randomized baseline (averaged over randomized_runs draws).
+    Every scenario is solved by the fair engine (default FassConfig), the
+    revenue maximizer, and the randomized baseline (averaged over
+    randomized_runs draws).
     """
     if scenarios_per_level < 1:
         raise ValueError("scenarios_per_level must be >= 1")
-    config = FassConfig(step=step, range_cap=range_cap)
     rows = []
     for level in levels:
         if not 1 <= level <= 8:
@@ -136,7 +133,7 @@ def pricing_sweep(
                 pricing_level=float(level),
                 seed=scenario_seed,
             )
-            fair = run_fass(scenario, config)
+            fair = run_fass(scenario)
             stats["fass"].append(
                 (payment_deviation(fair.payments), total_revenue(fair.plan, scenario))
             )
@@ -178,22 +175,20 @@ def timing_run(
     *,
     ladder: Sequence[int] = DEFAULT_LADDER,
     reps: int = 20,
-    pricing_level: float = 4.0,
     seed: int = 0,
-    step: float = 0.01,
-    range_cap: int = 100,
 ) -> list[TimingRow]:
     """Mean wall time of the fair engine vs the per-round integer solver.
 
     Each ladder entry is a decision-variable count; with full
     authorization it equals requests * providers * pool_size, so the pool
-    size is derived from the entry. Scenario generation is excluded from
-    the timed region; solver calls run serially.
+    size is derived from the entry. Scenarios are drawn at
+    TIMING_PRICING_LEVEL and both solvers use the default FassConfig.
+    Scenario generation is excluded from the timed region; solver calls
+    run serially.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     per_pool = SWEEP_N_REQUESTS * SWEEP_N_PROVIDERS
-    config = FassConfig(step=step, range_cap=range_cap)
     rows = []
     for vars_count in ladder:
         if vars_count % per_pool != 0:
@@ -206,13 +201,11 @@ def timing_run(
             matrix,
             pool_size=pool_size,
             constraint_density=1.0,
-            pricing_level=pricing_level,
+            pricing_level=TIMING_PRICING_LEVEL,
             seed=seed + vars_count,
         )
-        fass_ms = _time_call(lambda: run_fass(scenario, config), reps)
-        ip_ms = _time_call(
-            lambda: ip_iterative(scenario, step=step, range_cap=range_cap), reps
-        )
+        fass_ms = _time_call(lambda: run_fass(scenario), reps)
+        ip_ms = _time_call(lambda: ip_iterative(scenario), reps)
         rows.append(TimingRow(vars=vars_count, algorithm="fass", mean_ms=fass_ms, reps=reps))
         rows.append(TimingRow(vars=vars_count, algorithm="ip", mean_ms=ip_ms, reps=reps))
         log.info("ladder %d vars: fass %.2f ms, ip %.2f ms", vars_count, fass_ms, ip_ms)

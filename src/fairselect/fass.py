@@ -19,6 +19,7 @@ still feasible.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
@@ -59,6 +60,13 @@ class FassConfig:
             raise ValueError(f"step must be a positive finite number, got {self.step}")
         if self.range_cap < 1:
             raise ValueError(f"range_cap must be at least 1, got {self.range_cap}")
+        if self.k_base is not None:
+            try:
+                k_base = operator.index(self.k_base)
+            except TypeError:
+                raise ValueError(f"k_base must be an integer, got {self.k_base!r}") from None
+            if k_base < 2:
+                raise ValueError(f"k_base must be at least 2, got {k_base}")
 
 
 @dataclass(frozen=True)

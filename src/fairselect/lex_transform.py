@@ -7,11 +7,12 @@ payment snapped to a quantization grid and K is at least the number of
 candidate pairs. Lower payments map to exponentially larger weights, so
 the minimizer lexicographically maximizes the sorted payments.
 
-Each term takes one of two values depending on whether the pair is
-selected: coeff0 unselected, coeff1 selected. With x the 0/1 selection
-variable that is coeff0 + (coeff1 - coeff0) * x, so one round is an LP over
-the selection columns alone with objective sum((coeff1 - coeff0) * x); the
-constant sum(coeff0) is kept aside as the layout's offset.
+One round is an LP over the 0/1 selection columns alone: column t costs
+K**(-level) at its selected payment's level, so an integral optimum's
+value is xi_score of the selected levels. Charging the unselected
+payments too would change no reduced cost: an unselected payment depends
+only on the request, so its charge sits at one level on all of the
+request's columns, a multiple of the request's equality row.
 
 Grid levels are shifted so the maximum is 0: all objective coefficients
 then live in [1, K**span], which keeps them inside double range for any
@@ -319,28 +320,23 @@ class LambdaLayout:
     per active request, then one <=1 row per referenced service, services
     in flat (i, j) order. block holds the constraint block's entries: a 1
     at each column's request row (the first num_triples entries, in column
-    order), then a 1 at each column's capacity row. `offset` is the constant
-    sum(coeff0) dropped from the LP objective, so LP objective value +
-    offset == scalar level objective.
+    order), then a 1 at each column's capacity row.
 
-    levels0/levels1 are the integer grid levels behind coeff0/coeff1;
-    coeff = K**(-level). They feed lex_cost_rows, which the engine prices
-    instead of the scalar coefficients: float64 cannot carry the scalar
-    objective once the level span exceeds ~16/log10(K) digits, while the
-    per-level rows stay small integers and compare exactly.
+    levels[t] is the grid level of column t's selected payment; the LP
+    objective coefficient is K**(-levels[t]). The levels feed
+    lex_cost_rows, which the engine prices instead of the scalar
+    coefficients: float64 cannot carry the scalar objective once the level
+    span exceeds ~16/log10(K) digits, while the per-level rows stay small
+    integers and compare exactly.
     """
 
     table: CandidateTable
     columns: np.ndarray
     K: int
-    coeff0: np.ndarray
-    coeff1: np.ndarray
-    levels0: np.ndarray
-    levels1: np.ndarray
+    levels: np.ndarray
     request_row_ids: tuple[int, ...]
     services: np.ndarray
     block: BlockEntries
-    offset: float
 
     @property
     def num_triples(self) -> int:
@@ -368,7 +364,7 @@ class LambdaLayout:
     @property
     def num_levels(self) -> int:
         """Row count of lex_cost_rows: the grid levels from the deepest to 0."""
-        return 1 - int(min(self.levels0.min(), self.levels1.min()))
+        return 1 - int(self.levels.min())
 
     def lex_cost_rows(self) -> np.ndarray:
         """Objective as one row per grid level, deepest level first.
@@ -376,16 +372,11 @@ class LambdaLayout:
         Minimizing the rows lexicographically equals minimizing the scalar
         objective for every valid base (K at least the candidate count),
         because each row's dot product is bounded by the candidate count.
-        Column t carries +1 at its selected level and -1 at its unselected
-        level.
+        Column t carries +1 at its selected level.
         """
-        T = self.num_triples
-        num_levels = self.num_levels
-        deepest = 1 - num_levels  # levels run deepest..0
-        rows = np.zeros((num_levels, T))
-        # each statement touches every column once, so fancy += adds, not overwrites
-        rows[self.levels1 - deepest, np.arange(T)] += 1.0
-        rows[self.levels0 - deepest, np.arange(T)] -= 1.0
+        deepest = 1 - self.num_levels  # levels run deepest..0
+        rows = np.zeros((self.num_levels, self.num_triples))
+        rows[self.levels - deepest, np.arange(self.num_triples)] = 1.0
         return rows
 
 
@@ -400,8 +391,9 @@ def build_reduced_subproblem_lp(
     """Selection LP for one round.
 
     Columns: one x per candidate. Rows: request equalities, then service
-    capacities. Objective sum((coeff1 - coeff0) * x); the constant
-    sum(coeff0) lands in layout.offset.
+    capacities. Objective sum(K**(-level) * x) over the selected payments'
+    grid levels, so an integral optimum's value is xi_score of the chosen
+    levels. The grid's unselected levels are not read.
     """
     table = _table(scenario)
     active = sorted(set(active_requests))
@@ -420,7 +412,7 @@ def build_reduced_subproblem_lp(
     starved = [n for n in active if per_request[n] == 0]
     if starved:
         raise InfeasibleError(f"no remaining candidate services for requests {starved}")
-    levels = _round_levels(quant.grid, table, columns)
+    levels = _round_levels(quant.grid, table, columns)[:, 1]
 
     K = max(2, columns.size) if k_override is None else int(k_override)
     if K < 2:
@@ -431,8 +423,6 @@ def build_reduced_subproblem_lp(
             f"level span {deepest} with base {K} overflows double precision; "
             f"coarsen the step or lower range_cap"
         )
-    coeff0 = float(K) ** (-levels[:, 0]).astype(float)
-    coeff1 = float(K) ** (-levels[:, 1]).astype(float)
 
     # request rows in active order, then one capacity row per used service
     request_row = np.zeros(table.num_requests, dtype=np.int64)
@@ -454,17 +444,13 @@ def build_reduced_subproblem_lp(
         table=table,
         columns=columns,
         K=K,
-        coeff0=coeff0,
-        coeff1=coeff1,
-        levels0=levels[:, 0].copy(),
-        levels1=levels[:, 1].copy(),
+        levels=levels.copy(),
         request_row_ids=tuple(active),
         services=services,
         block=block,
-        offset=float(math.fsum(coeff0)),
     )
     lp = StandardLP.from_matrix(
-        objective=coeff1 - coeff0,
+        objective=float(K) ** (-levels).astype(float),
         matrix=block.dense(),
         relations=("=",) * len(active) + ("<=",) * services.size,
         rhs=np.ones(num_rows),

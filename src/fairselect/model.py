@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -280,26 +280,19 @@ def lex_compare(u: Sequence[float], v: Sequence[float]) -> int:
     return 0
 
 
-def saturating_matching(
-    scenario: Scenario, excluded_services: Iterable[tuple[int, int]] = ()
-) -> dict[int, tuple[int, int]] | None:
+def saturating_matching(scenario: Scenario) -> dict[int, tuple[int, int]] | None:
     """Find a request -> service matching covering all requests, or None.
 
-    Augmenting-path search over the authorization bipartite graph; services
-    in excluded_services are unavailable. Deterministic: requests and pools
-    are visited in index order. The depth-first search keeps its path on an
-    explicit stack, so long augmenting chains cannot exhaust the recursion
-    limit.
+    Augmenting-path search over the authorization bipartite graph.
+    Deterministic: requests and pools are visited in index order. The
+    depth-first search keeps its path on an explicit stack, so long
+    augmenting chains cannot exhaust the recursion limit.
     """
-    excluded = set(excluded_services)
-    # each provider's free keys are built once; a request's pool is
+    # each provider's keys are built once; a request's pool is
     # candidate_pool's order: its providers ascending, then service index
-    free = [
-        [(i, j) for j in range(len(services)) if (i, j) not in excluded]
-        for i, services in enumerate(scenario.providers)
-    ]
+    offered = [[(i, j) for j in range(len(pool))] for i, pool in enumerate(scenario.providers)]
     pools = [
-        [key for i in sorted(req.allowed_providers) for key in free[i]] for req in scenario.requests
+        [key for i in sorted(req.allowed_providers) for key in offered[i]] for req in scenario.requests
     ]
     owner: dict[tuple[int, int], int] = {}
 
@@ -335,7 +328,5 @@ def saturating_matching(
     return {n: key for key, n in owner.items()}
 
 
-def has_saturating_matching(
-    scenario: Scenario, excluded_services: Iterable[tuple[int, int]] = ()
-) -> bool:
-    return saturating_matching(scenario, excluded_services) is not None
+def has_saturating_matching(scenario: Scenario) -> bool:
+    return saturating_matching(scenario) is not None

@@ -336,7 +336,11 @@ def solve(
     initial_basis, when given, must list one column per row (structural
     columns first, then slack columns in <=-row order) describing a feasible
     starting basis; phase 1 is skipped if it checks out, and the solver
-    silently falls back to the two-phase start if it does not.
+    silently falls back to the two-phase start if it does not. Without one,
+    an LP whose rows are all <= with a nonnegative right-hand side starts
+    from its slack basis (the identity, so it costs no pivots) through the
+    same path; any other LP gets the two-phase start. An infeasible LP
+    reports the iterations and time phase 1 spent.
 
     lex_costs, when given, is a (levels x num_vars) stack of cost rows that
     replaces lp.objective for pricing: columns compare lexicographically
@@ -360,43 +364,48 @@ def solve(
     n_real = n_struct + le_rows.size
     budget = max_iters if max_iters is not None else 5000 + 60 * (m + n_real)
 
+    if initial_basis is None and le_rows.size == m and np.all(lp.rhs >= 0):
+        initial_basis = n_struct + np.arange(m)
     tab: _Tableau | None = None
+    feasible = True
     if initial_basis is not None:
         basis = np.asarray(initial_basis, dtype=np.int64)
         if basis.shape == (m,) and np.all((basis >= 0) & (basis < n_real)):
             candidate = _Tableau(lp.matrix, lp.rhs, n_real, basis.copy(), costs, price_tol, le_rows)
             candidate.rule = pivot_rule
             if candidate.canonicalize_basis():
-                for r in range(n_levels):
-                    candidate.reduce_cost_row(r, costs[r])
                 tab = candidate
-
     if tab is None:
-        tab = _phase_one(lp, le_rows, costs, pivot_rule, budget, price_tol)
-        if tab is None:
-            return LPSolution(status="infeasible")
+        tab, feasible = _phase_one(lp, le_rows, costs, pivot_rule, budget, price_tol)
 
-    status = tab.run(range(n_levels), budget)
-    timings = {"pricing_ms": tab.pricing_s * 1000.0, "pivot_ms": tab.pivot_s * 1000.0}
-    if status == "unbounded":
-        return LPSolution(status="unbounded", iterations=tab.iterations, **timings)
+    status = "infeasible"
+    if feasible:
+        for r in range(n_levels):
+            tab.reduce_cost_row(r, costs[r])
+        status = tab.run(range(n_levels), budget)
+    counters = {
+        "iterations": tab.iterations,
+        "pricing_ms": tab.pricing_s * 1000.0,
+        "pivot_ms": tab.pivot_s * 1000.0,
+    }
+    if status != "optimal":
+        return LPSolution(status=status, **counters)
 
     values = np.zeros(n_struct)
     structural = tab.basis < n_struct
     values[tab.basis[structural]] = tab.T[: tab.m, tab.n_cols][structural]
     values = np.maximum(values, 0.0)
     objective_value = float(lp.objective @ values)
-    return LPSolution(
-        status="optimal",
-        values=values,
-        objective_value=objective_value,
-        iterations=tab.iterations,
-        **timings,
-    )
+    return LPSolution(status="optimal", values=values, objective_value=objective_value, **counters)
 
 
-def _phase_one(lp, le_rows, costs, pivot_rule, budget, price_tol) -> _Tableau | None:
-    """Two-phase start: returns a feasible canonical tableau or None."""
+def _phase_one(lp, le_rows, costs, pivot_rule, budget, price_tol) -> tuple[_Tableau, bool]:
+    """Two-phase start: the phase-1 tableau and whether the LP is feasible.
+
+    A feasible tableau is canonical for its basis and keeps the phase-2
+    cost rows, which the caller reduces; an infeasible one only carries
+    phase 1's iteration count and timings.
+    """
     m, n_struct = lp.num_rows, lp.num_vars
     n_levels = costs.shape[0]
     n_real = n_struct + le_rows.size
@@ -407,15 +416,6 @@ def _phase_one(lp, le_rows, costs, pivot_rule, budget, price_tol) -> _Tableau | 
     basis[le_rows[kept]] = n_struct + np.flatnonzero(kept)
     needs_artificial = np.flatnonzero(basis < 0)
     n_art = needs_artificial.size
-    if n_art == 0:
-        tab = _Tableau(lp.matrix, np.abs(lp.rhs), n_real, basis, costs, price_tol, le_rows)
-        tab.rule = pivot_rule
-        if not tab.canonicalize_basis():  # pragma: no cover - slack basis is identity
-            raise InvariantError("slack basis rejected")
-        for r in range(n_levels):
-            tab.reduce_cost_row(r, costs[r])
-        return tab
-
     basis[needs_artificial] = n_real + np.arange(n_art)
     art_cost = np.zeros(n_real + n_art)
     art_cost[n_real:] = 1.0
@@ -438,7 +438,7 @@ def _phase_one(lp, le_rows, costs, pivot_rule, budget, price_tol) -> _Tableau | 
         raise InvariantError("phase 1 reported unbounded")
     infeasibility = -tab.T[tab.m + n_levels, tab.n_cols]
     if infeasibility > 1e-7:
-        return None
+        return tab, False
     # drive surviving artificials out of the basis where possible
     for i in range(m):
         if tab.basis[i] >= n_real:
@@ -447,9 +447,6 @@ def _phase_one(lp, le_rows, costs, pivot_rule, budget, price_tol) -> _Tableau | 
             if pivots.size:
                 _pivot(tab.T, i, int(pivots[0]))
                 tab.basis[i] = int(pivots[0])
-    # drop the phase-1 cost row, then refresh phase-2 reduced costs
-    tab.T = tab.T[: tab.m + n_levels]
+    tab.T = tab.T[: tab.m + n_levels]  # drop the phase-1 cost row
     tab._degenerate_streak = 0
-    for r in range(n_levels):
-        tab.reduce_cost_row(r, costs[r])
-    return tab
+    return tab, True

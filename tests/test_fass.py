@@ -205,7 +205,10 @@ def test_bland_pivoting_gives_same_payments():
 
 
 def test_out_of_range_config_is_rejected():
-    for kwargs in ({"step": 0.0}, {"step": -1.0}, {"step": math.nan}, {"step": math.inf}, {"range_cap": 0}):
+    for kwargs in (
+        {"step": 0.0}, {"step": -1.0}, {"step": math.nan}, {"step": math.inf}, {"range_cap": 0},
+        {"k_base": 1}, {"k_base": 0}, {"k_base": -3}, {"k_base": 2.5},
+    ):
         with pytest.raises(ValueError):
             FassConfig(**kwargs)
 

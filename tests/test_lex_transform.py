@@ -24,6 +24,7 @@ from fairselect import (
     verify_row_partition,
     xi_score,
 )
+from fairselect.fass import _crash_basis
 from fairselect.lex_transform import (
     assignment_block,
     candidate_table,
@@ -163,8 +164,8 @@ def test_reduced_lp_shape_and_offset():
     assert layout.provider_row_services == ((0, 0), (0, 1))
     assert lp.num_vars == 4
     assert len(lp.rows) == 4  # 2 request + 2 capacity
-    assert lp.objective == pytest.approx(layout.coeff1 - layout.coeff0)
-    assert layout.offset == pytest.approx(float(np.sum(layout.coeff0)))
+    assert lp.objective == pytest.approx(float(layout.K) ** -layout.levels.astype(float))
+    assert layout.levels.tolist() == [quant.grid[t][1] for t in layout.triples]
 
 
 def test_builder_validation():
@@ -236,7 +237,7 @@ def plan_objective(plan, layout):
     total = 0.0
     for t, (n, i, j) in enumerate(layout.triples):
         selected = plan.choices.get(n) == (i, j)
-        total += layout.coeff1[t] if selected else layout.coeff0[t]
+        total += float(layout.K) ** -float(layout.levels[t]) if selected else 0.0
     return total
 
 
@@ -246,7 +247,7 @@ def test_lp_optimum_matches_best_enumerated_plan():
     plans = list(enumerate_feasible(scenario))
     assert plans
     solution = solve(red_lp)
-    lp_value = solution.objective_value + layout.offset
+    lp_value = solution.objective_value
     assert lp_value == pytest.approx(
         min(plan_objective(p, layout) for p in plans), abs=1e-9
     )
@@ -345,7 +346,7 @@ def test_lex_cost_rows_reconstruct_the_scalar_objective():
     quant = quantize(scenario, [0, 1], step=0.5)
     lp, layout = build_reduced_subproblem_lp(scenario, {}, [0, 1], quant)
     rows = layout.lex_cost_rows()
-    deepest = int(min(layout.levels0.min(), layout.levels1.min()))
+    deepest = int(layout.levels.min())
     assert rows.shape == (1 - deepest, lp.num_vars)
     weights = np.array(
         [float(layout.K) ** (-(deepest + r)) for r in range(rows.shape[0])]
@@ -423,13 +424,11 @@ def reference_lp(scenario, frozen, active, quant):
     K = max(2, len(triples))
     levels = [quant.grid[t] for t in triples]
     # numpy's vectorized pow, as the builder uses; Python's ** may differ in the last bit
-    coeff0, coeff1 = (float(K) ** -np.array(side, dtype=float) for side in zip(*levels))
-    objective = coeff1 - coeff0
-    deepest = min(min(pair) for pair in levels)
+    objective = float(K) ** -np.array([l1 for _, l1 in levels], dtype=float)
+    deepest = min(l1 for _, l1 in levels)
     lex = np.zeros((1 - deepest, len(triples)))
-    for t, (l0, l1) in enumerate(levels):
+    for t, (_, l1) in enumerate(levels):
         lex[l1 - deepest, t] += 1.0
-        lex[l0 - deepest, t] -= 1.0
     return triples, services, np.array(rows).reshape(-1, len(triples)), relations, objective, lex
 
 
@@ -460,6 +459,63 @@ def test_index_array_lp_matches_a_dense_reference():
             assert np.array_equal(layout.block.dense(), matrix)
             rounds += 1
     assert rounds > 150
+
+
+def two_sided_rows(layout, quant):
+    """Level rows that also carry the unselected payment: +1 at level1, -1 at level0."""
+    levels = np.array([quant.grid[t] for t in layout.triples])
+    deepest = levels.min()
+    rows = np.zeros((1 - deepest, layout.num_triples))
+    columns = np.arange(layout.num_triples)
+    rows[levels[:, 1] - deepest, columns] += 1.0
+    rows[levels[:, 0] - deepest, columns] -= 1.0
+    return rows
+
+
+def test_unselected_half_never_decides_a_pivot():
+    # a request's unselected level is one level on all its columns, so the
+    # -1 entries are a multiple of its equality row and cancel in every
+    # reduced cost: both stacks must take the same pivots from either start,
+    # and both starts must reach the same lexicographic optimum
+    rng = random.Random(37)
+    rounds = pivots = 0
+    for scenario in feasible_scenarios(random_scenario, 60, seed=37):
+        matching = saturating_matching(scenario)
+        order = rng.sample(range(scenario.num_requests), scenario.num_requests)
+        for k in range(scenario.num_requests):
+            frozen = {n: matching[n] for n in order[:k]}
+            active = order[k:]
+            quant = quantize(scenario, active, step=rng.choice([0.01, 0.3]),
+                             range_cap=rng.choice([3, 100]), excluded_services=frozen.values())
+            lp, layout = build_reduced_subproblem_lp(scenario, frozen, active, quant)
+            table, columns = layout.table, layout.columns
+            matched = [table.pool_start[i] + j for i, j in (matching[n] for n in table.request[columns])]
+            warm = columns[table.flat[columns] == matched]
+            one_sided = layout.lex_cost_rows()
+            optima = []
+            for basis in (None, _crash_basis(layout, warm)):
+                one, two = (
+                    solve(lp, initial_basis=basis, lex_costs=rows, lex_exact=True)
+                    for rows in (one_sided, two_sided_rows(layout, quant))
+                )
+                assert (one.status, one.iterations) == (two.status, two.iterations)
+                assert np.array_equal(one.values, two.values)
+                optima.append(one_sided @ one.values)
+                pivots += one.iterations
+            assert np.array_equal(*optima)
+            rounds += 1
+    assert rounds > 150 and pivots > rounds
+
+
+def test_round_objective_is_xi_of_the_selection():
+    for scenario in feasible_scenarios(random_scenario, 30, seed=41):
+        active = list(range(scenario.num_requests))
+        for step in (0.01, 0.3):
+            quant = quantize(scenario, active, step=step)
+            lp, layout = build_reduced_subproblem_lp(scenario, {}, active, quant)
+            solution = solve(lp, lex_costs=layout.lex_cost_rows(), lex_exact=True)
+            selected = layout.levels[np.rint(solution.values) == 1]
+            assert solution.objective_value == pytest.approx(xi_score(selected, layout.K), rel=1e-12)
 
 
 def test_verify_row_partition_reads_block_entries():

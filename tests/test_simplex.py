@@ -37,6 +37,14 @@ def test_infeasible():
     assert solution.status == "infeasible"
 
 
+def test_infeasible_reports_phase_one_work():
+    # phase 1 pivots before it finds x1 + x2 = 2, x1 - x2 = 5, x1 <= 1 infeasible
+    problem = lp([0.0, 0.0], [([1.0, 1.0], "=", 2.0), ([1.0, -1.0], "=", 5.0), ([1.0, 0.0], "<=", 1.0)])
+    solution = solve(problem)
+    assert solution.status == "infeasible"
+    assert solution.iterations > 0 and solution.pricing_ms > 0.0
+
+
 def test_unbounded():
     solution = solve(lp([-1.0], []))
     assert solution.status == "unbounded"
