@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 from .errors import InfeasibleError
 from .fass import FassConfig, freeze_rounds
 from .model import AssignmentPlan, PaymentVector, Scenario, payment_vector
-from .simplex import INTEGRALITY_TOL, LPSolution, StandardLP, solve
+from .simplex import INTEGRALITY_TOL, BlockEntries, LPSolution, StandardLP, solve
 
 
 @dataclass(frozen=True)
@@ -156,14 +156,9 @@ def branch_and_bound_lp(
     best_values: np.ndarray | None = None
     branches = 0
     nodes = 0
-    stack: list[tuple[tuple, ...]] = [()]
+    stack = [lp]
     while stack:
-        extra = stack.pop()
-        node_lp = StandardLP(
-            num_vars=lp.num_vars,
-            objective=lp.objective,
-            rows=list(lp.rows) + [(c.copy(), rel, rhs) for c, rel, rhs in extra],
-        )
+        node_lp = stack.pop()
         solution = solve(node_lp, lex_costs=lex_costs, lex_exact=lex_exact)
         nodes += 1
         if solution.status == "unbounded":
@@ -190,12 +185,8 @@ def branch_and_bound_lp(
             continue
         branches += 1
         v = float(solution.values[fractional])
-        floor_row = np.zeros(lp.num_vars)
-        floor_row[fractional] = 1.0
-        ceil_row = np.zeros(lp.num_vars)
-        ceil_row[fractional] = -1.0
-        stack.append(extra + ((ceil_row, "<=", -math.ceil(v)),))
-        stack.append(extra + ((floor_row, "<=", float(math.floor(v))),))
+        stack.append(_with_bound(node_lp, fractional, -1.0, -math.ceil(v)))
+        stack.append(_with_bound(node_lp, fractional, 1.0, math.floor(v)))
     if best_values is None:
         return BnbResult(
             status="infeasible", values=None, objective_value=math.nan, branches=branches, nodes=nodes
@@ -207,6 +198,15 @@ def branch_and_bound_lp(
         branches=branches,
         nodes=nodes,
     )
+
+
+def _with_bound(lp: StandardLP, column: int, sign: float, limit: float) -> StandardLP:
+    """lp with the row sign * x[column] <= limit appended to its entries."""
+    (m, n), e = lp.entries.shape, lp.entries
+    entries = BlockEntries(
+        np.append(e.rows, m), np.append(e.cols, column), np.append(e.values, sign), (m + 1, n)
+    )
+    return StandardLP.from_entries(lp.objective, entries, lp.relations + ("<=",), np.append(lp.rhs, limit))
 
 
 def ip_iterative(scenario: Scenario) -> IPResult:

@@ -27,12 +27,13 @@ sum respect the level-wise lexicographic order) and stay exact.
 Every candidate pair of a scenario, with both of its payments, is one
 column of a CandidateTable, built once per solve. A round is an index
 array into that table: the columns of the still active requests on
-services nobody froze. Quantization, the constraint block (one request
-row and one capacity row per column, placed by fancy indexing), the row
-partition check (per-column counts over the block's entries) and the plan
-read-out all work on those arrays. The scenario-level functions
-(candidate_triples, quantize, build_reduced_subproblem_lp) accept a
-Scenario and build the table themselves, or take the engine's table.
+services nobody froze. Quantization, the constraint block (the entries of
+one request row and one capacity row per column, scattered into the
+tableau as they are), the row partition check (per-column counts over the
+entries) and the plan read-out all work on those arrays. The
+scenario-level functions (candidate_triples, quantize,
+build_reduced_subproblem_lp) accept a Scenario and build the table
+themselves, or take the engine's table.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleError, InvariantError, NonIntegralSolutionError
 from .model import AssignmentPlan, Scenario
-from .simplex import INTEGRALITY_TOL, LPSolution, StandardLP
+from .simplex import INTEGRALITY_TOL, BlockEntries, LPSolution, StandardLP
 
 Triple = tuple[int, int, int]  # (request, provider, service)
 
@@ -235,7 +236,8 @@ def quantize(
     """Snap every candidate payment to a grid of at most range_cap+1 levels.
 
     The step doubles until the spanned level range fits under range_cap;
-    levels are then shifted so the maximum is 0.
+    levels are then shifted so the maximum is 0. A non-finite payment
+    (qos / qos_baseline can overflow) is a ValueError naming its candidate.
     """
     if step <= 0 or not math.isfinite(step):
         raise ValueError(f"step must be positive, got {step}")
@@ -246,6 +248,11 @@ def quantize(
     if not columns.size:
         raise ValueError("no candidate payments to quantize")
     payments = np.stack([table.pay0[columns], table.pay1[columns]], axis=1)
+    finite = np.isfinite(payments).all(axis=1)
+    if not finite.all():
+        # no step spans an infinite or nan payment: the doubling below would never end
+        bad = table.triples(columns[~finite][:1])[0]
+        raise ValueError(f"candidate (request, provider, service) {bad} has a non-finite payment")
 
     # np.rint(p / step) is monotone in p, so the grid spans exactly the
     # levels of the smallest and largest payment. Levels stay float64 until
@@ -289,28 +296,6 @@ def _round_levels(
     raise ValueError(f"quantization grid does not cover {missing} (stale grid?)")
 
 
-class BlockEntries(NamedTuple):
-    """Nonzero entries of a coefficient block: values[k] sits at (rows[k], cols[k])."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    shape: tuple[int, int]
-
-    @classmethod
-    def of(cls, matrix) -> BlockEntries:
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError("expected a 2-d coefficient block")
-        rows, cols = np.nonzero(matrix)
-        return cls(rows, cols, matrix[rows, cols], matrix.shape)
-
-    def dense(self) -> np.ndarray:
-        matrix = np.zeros(self.shape)
-        matrix[self.rows, self.cols] = self.values
-        return matrix
-
-
 @dataclass(frozen=True, eq=False)
 class LambdaLayout:
     """Column/row map for one subproblem LP.
@@ -320,7 +305,7 @@ class LambdaLayout:
     per active request, then one <=1 row per referenced service, services
     in flat (i, j) order. block holds the constraint block's entries: a 1
     at each column's request row (the first num_triples entries, in column
-    order), then a 1 at each column's capacity row.
+    order), then a 1 at each column's capacity row: it is lp.entries.
 
     levels[t] is the grid level of column t's selected payment; the LP
     objective coefficient is K**(-levels[t]). The levels feed
@@ -449,9 +434,9 @@ def build_reduced_subproblem_lp(
         services=services,
         block=block,
     )
-    lp = StandardLP.from_matrix(
+    lp = StandardLP.from_entries(
         objective=float(K) ** (-levels).astype(float),
-        matrix=block.dense(),
+        entries=block,
         relations=("=",) * len(active) + ("<=",) * services.size,
         rhs=np.ones(num_rows),
     )
@@ -460,7 +445,7 @@ def build_reduced_subproblem_lp(
 
 def assignment_block(lp: StandardLP, layout: LambdaLayout) -> np.ndarray:
     """Coefficient matrix of the request + capacity rows."""
-    return lp.matrix[: layout.num_request_rows + layout.num_provider_rows].copy()
+    return lp.matrix[: layout.num_request_rows + layout.num_provider_rows]
 
 
 def verify_row_partition(

@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex over an explicit row-form LP.
+"""Dense two-phase primal simplex over an LP given by its constraint entries.
 
 The LPs this package builds are assignment-shaped: 0/1 coefficient rows,
 right-hand sides of 1, and exponentially weighted objectives whose
@@ -16,10 +16,12 @@ in the pivot column, so such a row stays zero and never decides a column.
 The engine's level stacks span every grid level between the deepest and
 the shallowest payment, and many of those levels hold no candidate.
 
-The tableau is one dense C-ordered array, allocated once per solve and
-filled by slice assignment. A pivot updates only the rows with a nonzero
-entry in the pivot column: on the engine's round LPs about a dozen of a
-few hundred rows, each a contiguous numpy row operation.
+An LP stores its constraints only as BlockEntries (row, column and value
+of each nonzero). The tableau is one dense C-ordered array, allocated once
+per solve: the entries are scattered into it, the rest filled by slices.
+A pivot updates only the rows with a nonzero entry in the pivot column:
+on the engine's round LPs about a dozen of a few hundred rows, each a
+contiguous numpy row operation.
 Pricing keeps, for every column, its deciding level (its first reduced
 cost beyond the pricing tolerance) and that reduced cost. Each run of the
 simplex computes both in one vectorized pass over the cost block; after a
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,13 +54,35 @@ EXACT_PRICE_TOL = 0.5
 Relation = str  # "=" or "<="
 
 
+class BlockEntries(NamedTuple):
+    """Nonzero entries of a coefficient block: values[k] sits at (rows[k], cols[k])."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def of(cls, matrix) -> BlockEntries:
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2:
+            raise ValueError("expected a 2-d coefficient block")
+        rows, cols = np.nonzero(matrix)
+        return cls(rows, cols, matrix[rows, cols], matrix.shape)
+
+    def dense(self) -> np.ndarray:
+        matrix = np.zeros(self.shape)
+        matrix[self.rows, self.cols] = self.values
+        return matrix
+
+
 class StandardLP:
     """Minimization LP: objective @ x subject to matrix @ x (relations) rhs and x >= 0.
 
-    Built from rows, a list of (coefficients, relation, rhs) with relation
-    "=" or "<=", or with from_matrix from the stacked matrix, relations and
-    right-hand sides. Either way it is validated once, as one matrix; rows
-    reads the constraints back as (coefficients, relation, rhs) triples.
+    Built with from_entries from the matrix's BlockEntries, relations and
+    right-hand sides, or from rows, a list of (coefficients, relation, rhs)
+    with relation "=" or "<=", stacked once and kept as its nonzeros. Only
+    the entries are stored, validated once; matrix and rows expand them.
     """
 
     def __init__(self, num_vars: int, objective: np.ndarray, rows=()):
@@ -67,32 +91,42 @@ class StandardLP:
             if np.shape(coeffs) != (num_vars,):
                 raise ValueError(f"row {k} has wrong length")
         matrix = np.array([c for c, _, _ in rows], dtype=float).reshape(len(rows), num_vars)
-        self._set(objective, matrix, tuple(r for _, r, _ in rows), [b for _, _, b in rows])
+        self._set(objective, BlockEntries.of(matrix), tuple(r for _, r, _ in rows), [b for _, _, b in rows])
 
     @classmethod
-    def from_matrix(cls, objective, matrix, relations, rhs) -> StandardLP:
+    def from_entries(cls, objective, entries: BlockEntries, relations, rhs) -> StandardLP:
         lp = cls.__new__(cls)
-        lp._set(objective, matrix, tuple(relations), rhs)
+        lp._set(objective, entries, tuple(relations), rhs)
         return lp
 
-    def _set(self, objective, matrix, relations, rhs) -> None:
+    def _set(self, objective, entries, relations, rhs) -> None:
         self.objective = np.asarray(objective, dtype=float)
-        self.matrix = np.asarray(matrix, dtype=float)
+        self.entries = entries
         self.relations = relations
         self.rhs = np.asarray(rhs, dtype=float).reshape(-1)
-        self.num_vars = self.matrix.shape[1]
+        m, self.num_vars = entries.shape
         if self.objective.shape != (self.num_vars,):
             raise ValueError("objective length does not match num_vars")
         if not np.all(np.isfinite(self.objective)):
             raise ValueError("objective coefficients must be finite")
-        if len(relations) != self.matrix.shape[0] or self.rhs.shape != (len(relations),):
-            raise ValueError("matrix, relations and rhs disagree on the row count")
+        if len(relations) != m or self.rhs.shape != (m,):
+            raise ValueError("entries, relations and rhs disagree on the row count")
         unknown = set(relations) - {"=", "<="}
         if unknown:
             raise ValueError(f"unknown relation {sorted(unknown)[0]!r}")
-        if not (np.isfinite(self.matrix).all() and np.isfinite(self.rhs).all()):
-            bad = np.flatnonzero(~(np.isfinite(self.matrix).all(axis=1) & np.isfinite(self.rhs)))
+        try:  # a negative index would wrap silently in the tableau scatter
+            np.ravel_multi_index((entries.rows, entries.cols), entries.shape)
+        except ValueError:
+            raise ValueError(f"entries lie outside the {m} x {self.num_vars} block") from None
+        finite = np.isfinite(entries.values)
+        if not (finite.all() and np.isfinite(self.rhs).all()):
+            bad = np.union1d(entries.rows[~finite], np.flatnonzero(~np.isfinite(self.rhs)))
             raise ValueError(f"row {bad[0]} has non-finite entries")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The constraint matrix, expanded from the entries on each call."""
+        return self.entries.dense()
 
     @property
     def num_rows(self) -> int:
@@ -100,7 +134,7 @@ class StandardLP:
 
     @property
     def rows(self) -> list[tuple[np.ndarray, Relation, float]]:
-        return [(self.matrix[k], rel, float(self.rhs[k])) for k, rel in enumerate(self.relations)]
+        return [(row, rel, float(b)) for row, rel, b in zip(self.matrix, self.relations, self.rhs)]
 
     @property
     def le_rows(self) -> np.ndarray:
@@ -151,23 +185,26 @@ class _Tableau:
     ordinary simplex.
     """
 
-    def __init__(self, A, b, n_price, basis, costs, price_tol=EPS_FEAS, unit_rows=()):
-        """Tableau [A | units | b] over [costs | 0]; allocated once, filled by slices.
+    def __init__(self, entries, b, n_price, basis, costs, price_tol=EPS_FEAS, unit_rows=()):
+        """Tableau [A | units | b] over [costs | 0]; allocated once, A's BlockEntries scattered in.
 
         unit_rows appends one unit column per listed row (slacks, then
         artificials); cost rows may be narrower than the tableau, the
-        missing columns cost 0.
+        missing columns cost 0. Cost entries within price_tol of 0 are
+        set to 0: pricing reads them as 0, but left in place pivots can
+        grow them past the tolerance, and a column then improves at one
+        level while its entry above says otherwise, which can cycle.
         """
-        self.m, n_struct = A.shape
+        self.m, n_struct = entries.shape
         unit_rows = np.asarray(unit_rows, dtype=np.int64)
         self.n_cols = n_struct + unit_rows.size
         self.n_price = n_price  # columns eligible to enter (excludes artificials)
         self.price_tol = price_tol
         self.T = np.zeros((self.m + costs.shape[0], self.n_cols + 1))
-        self.T[: self.m, :n_struct] = A
+        self.T[entries.rows, entries.cols] = entries.values
         self.T[unit_rows, n_struct + np.arange(unit_rows.size)] = 1.0
         self.T[: self.m, self.n_cols] = b
-        self.T[self.m :, : costs.shape[1]] = costs
+        self.T[self.m :, : costs.shape[1]] = np.where(np.abs(costs) > price_tol, costs, 0.0)
         self.basis = np.asarray(basis, dtype=np.int64)
         self.iterations = 0
         self.pricing_s = 0.0
@@ -175,14 +212,14 @@ class _Tableau:
         self.rule = "dantzig"
         self._degenerate_streak = 0
 
-    def reduce_cost_row(self, which: int, costs: np.ndarray) -> None:
-        """Recompute cost row `which` as reduced costs for the current basis.
+    def reduce_cost_row(self, which: int) -> None:
+        """Reduce cost row `which` for the current basis, in place.
 
-        costs covers the leading columns; the rest cost 0.
+        Subtracts the constraint rows that zero it on every basis column;
+        a row that no pivot has touched since construction becomes the
+        reduced costs of its construction costs.
         """
         row = self.m + which
-        self.T[row] = 0.0
-        self.T[row, : costs.size] = costs
         weights = self.T[row, self.basis]
         nz = weights.nonzero()[0]
         if nz.size:
@@ -196,8 +233,9 @@ class _Tableau:
         stays unit under a pivot on another row, so the basis is gathered
         once and only the columns that were not unit then are visited;
         each is checked again when its turn comes. Cost rows are left
-        alone: every caller recomputes them with reduce_cost_row. Returns
-        False if the basis is singular or the resulting point is infeasible.
+        alone: after a warm start solve reduces them with
+        reduce_cost_row, and the two-phase start's basis is the identity.
+        Returns False if the basis is singular or the point infeasible.
         """
         rows = self.T[: self.m]
         start = rows[:, self.basis]
@@ -371,18 +409,16 @@ def solve(
     if initial_basis is not None:
         basis = np.asarray(initial_basis, dtype=np.int64)
         if basis.shape == (m,) and np.all((basis >= 0) & (basis < n_real)):
-            candidate = _Tableau(lp.matrix, lp.rhs, n_real, basis.copy(), costs, price_tol, le_rows)
+            candidate = _Tableau(lp.entries, lp.rhs, n_real, basis.copy(), costs, price_tol, le_rows)
             candidate.rule = pivot_rule
             if candidate.canonicalize_basis():
                 tab = candidate
+                for r in range(n_levels):
+                    tab.reduce_cost_row(r)
     if tab is None:
         tab, feasible = _phase_one(lp, le_rows, costs, pivot_rule, budget, price_tol)
 
-    status = "infeasible"
-    if feasible:
-        for r in range(n_levels):
-            tab.reduce_cost_row(r, costs[r])
-        status = tab.run(range(n_levels), budget)
+    status = tab.run(range(n_levels), budget) if feasible else "infeasible"
     counters = {
         "iterations": tab.iterations,
         "pricing_ms": tab.pricing_s * 1000.0,
@@ -402,8 +438,9 @@ def solve(
 def _phase_one(lp, le_rows, costs, pivot_rule, budget, price_tol) -> tuple[_Tableau, bool]:
     """Two-phase start: the phase-1 tableau and whether the LP is feasible.
 
-    A feasible tableau is canonical for its basis and keeps the phase-2
-    cost rows, which the caller reduces; an infeasible one only carries
+    A feasible tableau is canonical for its basis, and its phase-2 cost
+    rows are reduced: the start basis costs 0 in them and every phase-1
+    and drive-out pivot updates them. An infeasible one only carries
     phase 1's iteration count and timings.
     """
     m, n_struct = lp.num_rows, lp.num_vars
@@ -417,22 +454,19 @@ def _phase_one(lp, le_rows, costs, pivot_rule, budget, price_tol) -> tuple[_Tabl
     needs_artificial = np.flatnonzero(basis < 0)
     n_art = needs_artificial.size
     basis[needs_artificial] = n_real + np.arange(n_art)
-    art_cost = np.zeros(n_real + n_art)
-    art_cost[n_real:] = 1.0
     costs_ext = np.zeros((n_levels + 1, n_real + n_art))
     costs_ext[:n_levels, :n_struct] = costs
-    costs_ext[n_levels] = art_cost
+    costs_ext[n_levels, n_real:] = 1.0  # phase 1 minimizes the artificials
     tab = _Tableau(
-        lp.matrix, lp.rhs, n_real, basis, costs_ext, price_tol,
+        lp.entries, np.abs(lp.rhs), n_real, basis, costs_ext, price_tol,
         np.concatenate([le_rows, needs_artificial]),
     )
     # flip the rows with a negative rhs (their slack too, not their artificial)
     tab.T[np.flatnonzero(flip), :n_real] *= -1.0
-    tab.T[:m, tab.n_cols] = np.abs(lp.rhs)
     tab.rule = pivot_rule
     if not tab.canonicalize_basis():  # pragma: no cover - artificial basis is identity
         raise InvariantError("artificial basis rejected")
-    tab.reduce_cost_row(n_levels, art_cost)
+    tab.reduce_cost_row(n_levels)
     status = tab.run(range(n_levels, n_levels + 1), budget)
     if status == "unbounded":  # pragma: no cover - phase 1 is bounded below
         raise InvariantError("phase 1 reported unbounded")

@@ -1,5 +1,7 @@
 """Baseline solvers: revenue maximizer, randomized assigner, integer programs."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,11 @@ from fairselect import (
     randomized,
     randomized_mean,
     revenue_max,
+    run_fass,
     total_revenue,
 )
 from fairselect.lex_transform import build_reduced_subproblem_lp
+from fairselect.simplex import BlockEntries
 
 from conftest import (
     feasible_scenarios,
@@ -145,6 +149,15 @@ def test_branch_and_bound_on_a_fractional_root():
     assert np.allclose(result.values, np.rint(result.values), atol=1e-9)
 
 
+def test_branch_and_bound_takes_the_ceiling_branch():
+    # min x with 2x >= 3: the root is x = 1.5, x <= 1 is infeasible, x >= 2 is optimal
+    lp = StandardLP(num_vars=1, objective=np.array([1.0]), rows=[(np.array([-2.0]), "<=", -3.0)])
+    result = branch_and_bound_lp(lp, [0])
+    assert result.status == "optimal"
+    assert result.values == pytest.approx([2.0])
+    assert (result.branches, result.nodes) == (1, 3)
+
+
 def test_branch_and_bound_infeasible():
     lp = StandardLP(
         num_vars=1, objective=np.array([1.0]), rows=[(np.array([1.0]), "<=", -1.0)]
@@ -170,3 +183,20 @@ def test_iterative_ip_on_infeasible_scenario():
     )
     with pytest.raises(InfeasibleError):
         ip_iterative(scenario)
+
+
+def test_solves_never_expand_the_constraint_matrix():
+    # round LPs and branch-and-bound node LPs reach the tableau as entries
+    def refuse(self):
+        raise AssertionError("a solve expanded its constraint entries to a dense matrix")
+
+    odd_cycle = StandardLP(
+        num_vars=3,
+        objective=-np.ones(3),
+        rows=[(np.array(row), "<=", 1.0) for row in ([1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0])],
+    )
+    with mock.patch.object(BlockEntries, "dense", refuse):
+        for scenario in feasible_scenarios(grid_scenario, 20, seed=19):
+            fair, ip = run_fass(scenario), ip_iterative(scenario)
+            assert fair.payments.sorted_view == pytest.approx(ip.payments.sorted_view, abs=1e-12)
+        assert branch_and_bound_lp(odd_cycle, [0, 1, 2]).branches >= 1

@@ -1,5 +1,10 @@
 """Command-line behavior: flows, output text, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fairselect import synthetic_qos_matrix, write_scenario
@@ -151,6 +156,30 @@ def test_infeasible_scenario_exits_2(tmp_path, capsys):
     write_scenario(crowded, str(path))
     assert main(["solve", str(path)]) == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_non_finite_payment_exits_3_promptly(tmp_path):
+    # request 0's qos ratio on the 1e308 service overflows, so its payment
+    # there is -inf; a subprocess timeout turns a hang into a failure
+    overflow = make_scenario(
+        pools=[[0.5], [1e308, 1.0]],
+        requests=[({1}, 1.0, 1.0, 1e-10), ({1}, 1.0, 1.0, 1.0)],
+    )
+    path = tmp_path / "overflow.json"
+    write_scenario(overflow, str(path))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairselect", "solve", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ") and "non-finite payment" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_errors_exit_3(capsys):

@@ -133,6 +133,24 @@ def test_quantize_validation():
         quantize(scenario, [3])
 
 
+@pytest.mark.parametrize("bonus, bad", [(1.0, -math.inf), (0.0, math.nan)])
+def test_quantize_rejects_a_non_finite_payment(bonus, bad):
+    # qos / qos_baseline overflows to inf on service (1, 0) for request 0:
+    # its payment is -inf, or nan (0 * -inf) without a bonus; no step
+    # doubling spans it, so quantize must refuse before it starts
+    scenario = make_scenario(
+        pools=[[0.5], [1e308, 1.0]],
+        requests=[({1}, 1.0, bonus, 1e-10), ({1}, 1.0, 1.0, 1.0)],
+    )
+    table = candidate_table(scenario)
+    assert table.triples(np.array([0]))[0] == (0, 1, 0)
+    np.testing.assert_equal(table.pay1[0], bad)
+    with pytest.raises(ValueError, match=r"\(0, 1, 0\) has a non-finite payment"):
+        quantize(scenario, [0, 1])
+    # without request 0 every payment is finite
+    assert quantize(scenario, [1]).doublings >= 0
+
+
 def test_effective_range_cap():
     assert effective_range_cap(100, 4) == 100
     assert effective_range_cap(100, 10**6) == 50

@@ -13,6 +13,7 @@ from fairselect import (
     solve,
 )
 from fairselect.simplex import EPS_FEAS, EXACT_PRICE_TOL, _deciding, _pivot, _Tableau
+from fairselect.simplex import BlockEntries, _phase_one
 
 
 def lp(objective, rows, **kw):
@@ -264,7 +265,7 @@ def priced_tableaus(draw):
     costs[draw(st.lists(st.integers(0, levels - 1), max_size=levels))] = 0.0
     costs[:, draw(st.lists(st.integers(0, n_cols - 1), max_size=3))] = 0.0
     n_price = n_cols - draw(st.integers(0, min(2, n_cols - 1)))  # trailing columns play artificials
-    tab = _Tableau(A, np.ones(m), n_price, np.zeros(m), costs, tol)
+    tab = _Tableau(BlockEntries.of(A), np.ones(m), n_price, np.zeros(m), costs, tol)
     # all rows as in phase 2, or one trailing row as in phase 1
     price_rows = draw(st.sampled_from([range(levels), range(levels - 1, levels)]))
     return tab, price_rows
@@ -316,7 +317,7 @@ def feasible_tableaus(draw):
     costs[draw(st.lists(st.integers(0, levels - 1), max_size=levels))] = 0.0
     costs[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
     n_price = n + m - draw(st.integers(0, m - 1))  # trailing slacks play artificials
-    tab = _CheckedTableau(A, b, n_price, n + np.arange(m), costs, tol, np.arange(m))
+    tab = _CheckedTableau(BlockEntries.of(A), b, n_price, n + np.arange(m), costs, tol, np.arange(m))
     tab.checked_rows = draw(st.sampled_from([range(levels), range(levels - 1, levels)]))
     return tab
 
@@ -402,3 +403,89 @@ def test_solution_reports_pricing_and_pivot_time():
     solution = solve(problem, lex_costs=np.array([[1.0, -1.0, -1.0, 1.0]]), lex_exact=True)
     assert solution.status == "optimal" and solution.iterations > 0
     assert solution.pricing_ms > 0.0 and solution.pivot_ms > 0.0
+
+
+@st.composite
+def row_lps(draw):
+    """Small LPs as a coefficient matrix with "=" and "<=" rows, signed right-hand sides."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 4))
+    matrix = np.array(draw(cells([-1.0, 0.0, 0.0, 1.0, 2.0], m * n))).reshape(m, n)
+    relations = tuple(draw(cells(["=", "<=", "<="], m)))
+    rhs = np.array(draw(cells([-1.0, 0.0, 1.0, 3.0], m)))
+    objective = np.array(draw(cells([-2.0, -1.0, 0.0, 1.0], n)))
+    return objective, matrix, relations, rhs
+
+
+@given(row_lps(), st.sampled_from(["dantzig", "bland"]))
+def test_entries_and_rows_build_the_same_lp(case, rule):
+    objective, matrix, relations, rhs = case
+    by_rows = StandardLP(num_vars=objective.size, objective=objective, rows=zip(matrix, relations, rhs))
+    by_entries = StandardLP.from_entries(objective, BlockEntries.of(matrix), relations, rhs)
+    expected = [(list(c), rel, b) for c, rel, b in zip(matrix, relations, rhs)]
+    for problem in (by_rows, by_entries):
+        assert np.array_equal(problem.matrix, matrix)
+        assert [(list(c), rel, b) for c, rel, b in problem.rows] == expected
+    one, two = (solve(problem, pivot_rule=rule) for problem in (by_rows, by_entries))
+    assert (one.status, one.iterations) == (two.status, two.iterations)
+    if one.values is None:
+        assert two.values is None
+    else:
+        assert np.array_equal(one.values, two.values)
+
+
+def test_from_entries_rejects_malformed_entries():
+    good = dict(rows=np.array([0, 1]), cols=np.array([0, 1]), values=np.array([1.0, 1.0]))
+    objective, relations, rhs = np.zeros(2), ("=", "<="), np.ones(2)
+    StandardLP.from_entries(objective, BlockEntries(**good, shape=(2, 2)), relations, rhs)
+    bad_entries = [
+        ({"values": np.array([1.0, np.inf])}, "row 1 has non-finite"),
+        ({"values": np.array([np.nan, 1.0])}, "row 0 has non-finite"),
+        ({"rows": np.array([0, 2])}, "outside"),
+        ({"rows": np.array([0, -1])}, "outside"),  # would wrap silently in the scatter
+        ({"cols": np.array([2, 1])}, "outside"),
+    ]
+    for change, message in bad_entries:
+        entries = BlockEntries(**{**good, **change}, shape=(2, 2))
+        with pytest.raises(ValueError, match=message):
+            StandardLP.from_entries(objective, entries, relations, rhs)
+    entries = BlockEntries(**good, shape=(2, 2))
+    for bad_relations, bad_rhs, message in [
+        (relations, np.array([1.0, np.nan]), "row 1 has non-finite"),
+        (("=",), rhs, "row count"),
+        (relations, np.ones(3), "row count"),
+        (("=", ">="), rhs, "unknown relation"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            StandardLP.from_entries(objective, entries, bad_relations, bad_rhs)
+
+
+@given(row_lps(), st.sampled_from(["dantzig", "bland"]), st.data())
+def test_phase_one_leaves_phase_two_rows_reduced(case, rule, data):
+    # the start basis costs 0 in the phase-2 rows and every phase-1 and
+    # drive-out pivot updates them, so solve does not reduce them again
+    objective, matrix, relations, rhs = case
+    problem = StandardLP.from_entries(objective, BlockEntries.of(matrix), relations, rhs)
+    levels = data.draw(st.integers(1, 3))
+    costs = np.array(data.draw(cells([-2.0, -1.0, 0.0, 1.0, 2.0], levels * problem.num_vars)))
+    costs = costs.reshape(levels, problem.num_vars)
+    tab, feasible = _phase_one(problem, problem.le_rows, costs, rule, 1000, EPS_FEAS)
+    if not feasible:
+        return
+    for r in range(levels):
+        kept = tab.T[tab.m + r].copy()
+        assert np.all(kept[tab.basis] == 0.0)
+        tab.T[tab.m + r] = 0.0
+        tab.T[tab.m + r, : problem.num_vars] = costs[r]
+        tab.reduce_cost_row(r)
+        assert np.allclose(kept, tab.T[tab.m + r], rtol=1e-9, atol=1e-9)
+
+
+def test_sub_tolerance_costs_cannot_cycle():
+    # column 2 improves at level 0 by -1.5e-9 once pivots grow the level-0
+    # entries of +-5e-10 past the tolerance; column 1 then improves at level
+    # 1 while its level-0 entry is +7.5e-10, and the two swapped forever
+    costs = np.array([[1.0, 5e-10, -5e-10], [-2.0, -2.0, -2.0]])
+    tab = _Tableau(BlockEntries.of([[0.0, 1.0, 2.0]]), np.zeros(1), 4, [3], costs, EPS_FEAS, [0])
+    assert tab.run(range(2), max_iters=10) == "optimal"
+    assert tab.iterations <= 3
