@@ -1,6 +1,8 @@
-# The iterative engine round by round: each round solves one level LP,
-# freezes the worst-paid remaining request at its assignment, and shrinks
-# the problem. Frozen payments never decrease from round to round.
+# The iterative engine round by round: each round finds the optimal
+# selection of one level LP, freezes the worst-paid remaining request at its
+# assignment, and shrinks the problem. A round whose surviving payments kept
+# the previous round's level order reuses the previous selection without a
+# simplex solve (0 iterations). Frozen payments never decrease from round to round.
 import random
 
 from fairselect import Request, Scenario, Service, brute_force_mmf, run_fass
@@ -25,11 +27,11 @@ scenario = Scenario(providers=providers, requests=requests)
 
 result = run_fass(scenario)
 print(f"{n_requests} requests over {n_providers} providers x 3 services\n")
-print("round  frozen  service   payment   lp size       solve")
+print("round  frozen  service   payment   lp size   iterations       solve")
 for rec in result.trace.rounds:
     print(f"{rec.round_index:5d}  req {rec.request_id}   ({rec.provider_id},{rec.service_id})"
           f"   {rec.payment:7.3f}   {rec.lp_vars:3d} x {rec.lp_rows:2d}"
-          f"   {rec.solve_ms:6.2f} ms")
+          f"   {rec.iterations:10d}   {rec.solve_ms:6.2f} ms")
 
 print(f"\nsorted payments: {tuple(round(p, 3) for p in result.payments.sorted_view)}")
 print(f"total wall time: {result.trace.total_ms:.1f} ms")

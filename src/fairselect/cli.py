@@ -22,6 +22,7 @@ from .bench import (
 from .errors import (
     InfeasibleError,
     InvariantError,
+    NonFinitePaymentError,
     NonIntegralSolutionError,
     ScenarioFormatError,
 )
@@ -102,9 +103,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     scenario = load_scenario(args.scenario)
-    result = run_fass(scenario, FassConfig(step=args.step, range_cap=args.range_cap))
-    # above its enumeration cap brute force raises ValueError: exit 3
+    # above its enumeration cap brute force raises ValueError: exit 3, before the engine runs
     report = brute_force_mmf(scenario)
+    result = run_fass(scenario, FassConfig(step=args.step, range_cap=args.range_cap))
     ours = result.payments.sorted_view
     best = report.optimal_sorted
     tol = args.step + 1e-9
@@ -243,6 +244,14 @@ def main(argv: list[str] | None = None) -> int:
     except (NonIntegralSolutionError, InvariantError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except NonFinitePaymentError as exc:
+        # named by the scenario file's 1-based ids
+        n, i, j = (k + 1 for k in exc.candidate)
+        print(
+            f"error: request {n}, provider {i}, service {j} has a non-finite payment",
+            file=sys.stderr,
+        )
+        return EXIT_FORMAT
     except (OSError, ValueError) as exc:
         # ValueError: an argument out of range (--step 0, --runs 0, a scenario
         # above oracle-check's enumeration cap, ...)

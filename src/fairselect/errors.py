@@ -17,6 +17,18 @@ class ScenarioFormatError(FairselectError):
     """A scenario, matrix, or plan file violates its format (exit code 3)."""
 
 
+class NonFinitePaymentError(FairselectError, ValueError):
+    """A candidate's payment overflowed to inf or nan (exit code 3).
+
+    candidate is its (request, provider, service), 0-based like every
+    library index.
+    """
+
+    def __init__(self, message: str, candidate: tuple[int, int, int]):
+        super().__init__(message)
+        self.candidate = candidate
+
+
 class NonIntegralSolutionError(FairselectError):
     """An LP solution expected to be integral was not (exit code 4)."""
 

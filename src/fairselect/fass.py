@@ -14,6 +14,15 @@ hands it the simplex warm-started from a known feasible matching: round 1
 uses the feasibility check's matching, later rounds reuse the previous
 round's selection restricted to the surviving requests, which is always
 still feasible.
+
+A later round's columns are a subset of the round before's. When every one
+of them kept its selected grid level up to one common shift, the previous
+selection restricted to the survivors is already optimal, and `run_fass`
+returns it without a solve: any assignment of the survivors plus the
+frozen pair is an assignment of the previous round, so the restriction is
+lexicographically no worse than it, and a common shift of every level
+changes no level-wise comparison. From that optimal start every simplex
+pivot would be degenerate, so the simplex would return the same selection.
 """
 
 from __future__ import annotations
@@ -82,13 +91,15 @@ class RoundRecord:
     lp_rows: int
     lp_objective: float
     solve_ms: float
-    iterations: int  # simplex pivots of the round solve; 0 for ip_iterative rounds
+    # simplex pivots of the round solve; 0 in a round whose levels kept the
+    # previous round's order (it calls no solve) and in ip_iterative rounds
+    iterations: int
     step: float  # effective quantization step after doubling
     doublings: int  # times the requested step was doubled to fit the level range
     levels: int  # row count of the round's lex_cost_rows
     K: int  # objective base
-    pricing_ms: float  # simplex time choosing entering columns; 0 for ip_iterative rounds
-    pivot_ms: float  # simplex time in ratio tests and pivots; 0 for ip_iterative rounds
+    pricing_ms: float  # simplex time choosing entering columns; 0 in the same rounds
+    pivot_ms: float  # simplex time in ratio tests and pivots; 0 in the same rounds
     max_integrality_gap: float  # worst |x - round(x)| over the selection block
 
 
@@ -130,15 +141,45 @@ def _crash_basis(layout: LambdaLayout, warm: np.ndarray) -> np.ndarray:
     return np.concatenate((np.searchsorted(layout.columns, warm), slacks))
 
 
+def _keeps_level_order(previous: LambdaLayout, layout: LambdaLayout) -> bool:
+    """Whether layout's columns all sit in previous, their levels shifted by one constant."""
+    at = np.minimum(np.searchsorted(previous.columns, layout.columns), previous.num_triples - 1)
+    if not np.array_equal(previous.columns[at], layout.columns):
+        return False
+    shift = layout.levels - previous.levels[at]
+    return bool((shift == shift[0]).all())
+
+
+def _selection_solution(lp: StandardLP, layout: LambdaLayout, warm: np.ndarray) -> LPSolution:
+    """The warm selection (ascending table columns) as the round's optimal solution."""
+    at = np.minimum(np.searchsorted(layout.columns, warm), layout.num_triples - 1)
+    if not np.array_equal(layout.columns[at], warm):
+        raise InvariantError("warm start selects a column outside the round")
+    values = np.zeros(lp.num_vars)
+    values[at] = 1.0
+    return LPSolution(status="optimal", values=values, objective_value=float(lp.objective @ values))
+
+
 # (lp, layout, warm-start selection as ascending table columns) -> optimal solution
 RoundSolver = Callable[[StandardLP, LambdaLayout, np.ndarray], LPSolution]
 
 
 def run_fass(scenario: Scenario, config: FassConfig | None = None) -> FassResult:
-    """Compute the max-min fair assignment; returns (plan, payments, trace)."""
+    """Compute the max-min fair assignment; returns (plan, payments, trace).
+
+    Rounds run the warm-started simplex, except a round whose levels kept
+    the previous round's order: it takes the previous selection as it
+    stands, and its record shows 0 iterations, pricing_ms and pivot_ms.
+    """
     config = config or FassConfig()
+    previous: LambdaLayout | None = None
 
     def warm_simplex(lp, layout, warm):
+        nonlocal previous
+        confirmed = previous is not None and _keeps_level_order(previous, layout)
+        previous = layout
+        if confirmed:
+            return _selection_solution(lp, layout, warm)
         return solve(
             lp,
             initial_basis=_crash_basis(layout, warm),

@@ -45,7 +45,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, InvariantError, NonIntegralSolutionError
+from .errors import (
+    InfeasibleError,
+    InvariantError,
+    NonFinitePaymentError,
+    NonIntegralSolutionError,
+)
 from .model import AssignmentPlan, Scenario
 from .simplex import INTEGRALITY_TOL, BlockEntries, LPSolution, StandardLP
 
@@ -237,7 +242,8 @@ def quantize(
 
     The step doubles until the spanned level range fits under range_cap;
     levels are then shifted so the maximum is 0. A non-finite payment
-    (qos / qos_baseline can overflow) is a ValueError naming its candidate.
+    (qos / qos_baseline can overflow) is a NonFinitePaymentError, a
+    ValueError naming its candidate.
     """
     if step <= 0 or not math.isfinite(step):
         raise ValueError(f"step must be positive, got {step}")
@@ -252,7 +258,9 @@ def quantize(
     if not finite.all():
         # no step spans an infinite or nan payment: the doubling below would never end
         bad = table.triples(columns[~finite][:1])[0]
-        raise ValueError(f"candidate (request, provider, service) {bad} has a non-finite payment")
+        raise NonFinitePaymentError(
+            f"candidate (request, provider, service) {bad} has a non-finite payment", bad
+        )
 
     # np.rint(p / step) is monotone in p, so the grid spans exactly the
     # levels of the smallest and largest payment. Levels stay float64 until

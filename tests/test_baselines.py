@@ -176,6 +176,12 @@ def test_iterative_ip_agrees_with_the_exact_oracle():
         assert result.payments.per_request == payment_vector(result.plan, scenario).per_request
 
 
+def test_iterative_ip_runs_branch_and_bound_every_round():
+    # ip_iterative stays the cold reference: no round reuses the previous selection
+    for scenario in feasible_scenarios(grid_scenario, 20, seed=77):
+        assert ip_iterative(scenario).nodes >= scenario.num_requests
+
+
 def test_iterative_ip_on_infeasible_scenario():
     scenario = make_scenario(
         pools=[[1.0]],

@@ -124,6 +124,24 @@ def test_oracle_check_rejects_oversized_search_space(tmp_path, capsys):
     assert "enumeration cap" in capsys.readouterr().err
 
 
+def test_oracle_check_refuses_before_the_engine_runs(tmp_path, monkeypatch, capsys):
+    from fairselect import generate_scenario
+    import fairselect.cli as cli_module
+
+    def engine(scenario, config):
+        raise AssertionError("the engine ran before the enumeration cap check")
+
+    monkeypatch.setattr(cli_module, "run_fass", engine)
+    big = generate_scenario(
+        synthetic_qos_matrix(seed=0), n_requests=10, n_providers=9,
+        pool_size=5, constraint_density=0.5, pricing_level=4, seed=0,
+    )
+    path = tmp_path / "big.json"
+    write_scenario(big, str(path))
+    assert main(["oracle-check", str(path)]) == 3
+    assert "enumeration cap" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("step", ["1e-19", "1e-300"])
 def test_tiny_step_solves_or_exits_3(step, scenario_file, capsys):
     code = main(["solve", scenario_file, "--step", step])
@@ -180,6 +198,21 @@ def test_non_finite_payment_exits_3_promptly(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ") and "non-finite payment" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_non_finite_payment_names_the_file_ids(tmp_path, capsys):
+    # the overflowing candidate is the library's (0, 1, 0): the file's
+    # request 1 on provider 2's service 1
+    overflow = make_scenario(
+        pools=[[0.5], [1e308, 1.0]],
+        requests=[({1}, 1.0, 1.0, 1e-10), ({1}, 1.0, 1.0, 1.0)],
+    )
+    path = tmp_path / "overflow.json"
+    write_scenario(overflow, str(path))
+    assert main(["solve", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite payment" in err
+    assert "request 1, provider 2, service 1" in err
 
 
 def test_usage_errors_exit_3(capsys):

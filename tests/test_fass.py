@@ -1,5 +1,6 @@
 """End-to-end engine tests: worked examples, invariants, oracle agreement."""
 
+import dataclasses
 import math
 import random
 
@@ -13,11 +14,13 @@ from fairselect import (
     build_reduced_subproblem_lp,
     check_feasible,
     effective_range_cap,
+    generate_scenario,
     ip_iterative,
     payment_vector,
     quantize,
     run_fass,
     solve,
+    synthetic_qos_matrix,
 )
 import fairselect.fass as fass_module
 from fairselect.fass import select_min_payment_request
@@ -131,27 +134,32 @@ def test_trace_records_are_coherent():
 
 
 def test_round_records_carry_simplex_iterations(monkeypatch):
-    seen = []
+    # a round LP's column count falls strictly from round to round, so it
+    # names the round of each solve; rounds that call no solve record 0
+    seen = {}
 
-    def counting_solve(*args, **kwargs):
-        solution = solve(*args, **kwargs)
-        seen.append(solution.iterations)
+    def counting_solve(lp, **kwargs):
+        solution = solve(lp, **kwargs)
+        seen[lp.num_vars] = solution.iterations
         return solution
 
     monkeypatch.setattr(fass_module, "solve", counting_solve)
     for scenario in feasible_scenarios(random_scenario, 10, seed=19):
         seen.clear()
         result = run_fass(scenario)
-        assert [r.iterations for r in result.trace.rounds] == seen
-    assert sum(seen) > 0
+        assert [r.iterations for r in result.trace.rounds] == [
+            seen.get(r.lp_vars, 0) for r in result.trace.rounds
+        ]
+        assert set(seen) <= {r.lp_vars for r in result.trace.rounds}
+    assert sum(seen.values()) > 0
 
 
 def test_round_records_carry_simplex_timings(monkeypatch):
-    seen = []
+    seen = {}
 
-    def timed_solve(*args, **kwargs):
-        solution = solve(*args, **kwargs)
-        seen.append((solution.pricing_ms, solution.pivot_ms))
+    def timed_solve(lp, **kwargs):
+        solution = solve(lp, **kwargs)
+        seen[lp.num_vars] = (solution.pricing_ms, solution.pivot_ms)
         return solution
 
     monkeypatch.setattr(fass_module, "solve", timed_solve)
@@ -159,12 +167,79 @@ def test_round_records_carry_simplex_timings(monkeypatch):
     for scenario in feasible_scenarios(random_scenario, 10, seed=19):
         seen.clear()
         rounds = run_fass(scenario).trace.rounds
-        assert [(r.pricing_ms, r.pivot_ms) for r in rounds] == seen
+        assert [(r.pricing_ms, r.pivot_ms) for r in rounds] == [
+            seen.get(r.lp_vars, (0.0, 0.0)) for r in rounds
+        ]
+        assert set(seen) <= {r.lp_vars for r in rounds}
         for r in rounds:
             assert r.pricing_ms >= 0.0 and r.pivot_ms >= 0.0
             assert r.pricing_ms + r.pivot_ms <= r.solve_ms  # parts of the timed solve
             pivoted += r.pivot_ms
     assert pivoted > 0.0
+
+
+def _confirmation_scenarios():
+    forty = generate_scenario(
+        synthetic_qos_matrix(seed=0), n_requests=40, n_providers=9, pool_size=10,
+        constraint_density=0.5, pricing_level=4, seed=1,
+    )
+    return [
+        *feasible_scenarios(random_scenario, 20, seed=31),
+        *feasible_scenarios(grid_scenario, 20, seed=37),
+        forty,
+    ]
+
+
+def test_confirmed_rounds_match_the_simplex(monkeypatch):
+    # with the check answering "no" every round runs the simplex: the reference
+    confirmed = 0
+    keeps_level_order = fass_module._keeps_level_order
+
+    def counting_check(previous, layout):
+        nonlocal confirmed
+        kept = keeps_level_order(previous, layout)
+        confirmed += kept
+        return kept
+
+    untimed = {"iterations": 0, "pricing_ms": 0.0, "pivot_ms": 0.0, "solve_ms": 0.0}
+    for scenario in _confirmation_scenarios():
+        monkeypatch.setattr(fass_module, "_keeps_level_order", counting_check)
+        fast = run_fass(scenario)
+        monkeypatch.setattr(fass_module, "_keeps_level_order", lambda previous, layout: False)
+        reference = run_fass(scenario)
+        assert fast.plan.choices == reference.plan.choices
+        assert fast.payments.per_request == reference.payments.per_request
+        assert [dataclasses.replace(r, **untimed) for r in fast.trace.rounds] == [
+            dataclasses.replace(r, **untimed) for r in reference.trace.rounds
+        ]
+    assert confirmed > 0
+
+
+def test_confirmed_rounds_are_what_the_simplex_returns(monkeypatch):
+    # every round the check confirms: the warm-started simplex selects
+    # exactly the warm columns, the selection the round takes without it
+    confirmed = 0
+    selection_solution = fass_module._selection_solution
+
+    def checked(lp, layout, warm):
+        nonlocal confirmed
+        confirmed += 1
+        simplex = solve(
+            lp,
+            initial_basis=fass_module._crash_basis(layout, warm),
+            lex_costs=layout.lex_cost_rows(),
+            lex_exact=True,
+        )
+        assert simplex.status == "optimal"
+        assert np.array_equal(layout.columns[np.rint(simplex.values) == 1], warm)
+        solution = selection_solution(lp, layout, warm)
+        assert np.array_equal(solution.values, simplex.values)
+        return solution
+
+    monkeypatch.setattr(fass_module, "_selection_solution", checked)
+    for scenario in _confirmation_scenarios():
+        run_fass(scenario)
+    assert confirmed > 0
 
 
 def test_plans_are_always_feasible_on_random_scenarios():
