@@ -1,8 +1,9 @@
 # The iterative engine round by round: each round finds the optimal
 # selection of one level LP, freezes the worst-paid remaining request at its
-# assignment, and shrinks the problem. A round whose surviving payments kept
-# the previous round's level order reuses the previous selection without a
-# simplex solve (0 iterations). Frozen payments never decrease from round to round.
+# assignment, and shrinks the problem. A round that keeps the previous
+# round's quantization step reuses the previous selection and builds no LP
+# (0 iterations, 0 ms); its lp size is the LP it would have solved.
+# Frozen payments never decrease from round to round.
 import random
 
 from fairselect import Request, Scenario, Service, brute_force_mmf, run_fass

@@ -231,7 +231,7 @@ def ip_iterative(scenario: Scenario) -> IPResult:
             status=result.status, values=result.values, objective_value=result.objective_value
         )
 
-    result = freeze_rounds(scenario, FassConfig(), cold_branch_and_bound)
+    result = freeze_rounds(scenario, FassConfig(), lambda kept: cold_branch_and_bound)
     return IPResult(
         plan=result.plan,
         payments=result.payments,

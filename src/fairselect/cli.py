@@ -58,16 +58,14 @@ def _fmt_sorted(values) -> str:
 
 def _parse_levels(text: str) -> list[int]:
     text = text.strip()
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            return list(range(int(lo), int(hi) + 1))
-        except ValueError:
-            raise ScenarioFormatError(f"bad level range {text!r}") from None
+    lo, dots, hi = text.partition("..")
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        levels = list(range(int(lo), int(hi) + 1)) if dots else [int(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise ScenarioFormatError(f"bad level list {text!r}") from None
+        raise ScenarioFormatError(f"bad levels {text!r}") from None
+    if not levels:
+        raise ScenarioFormatError(f"no levels in {text!r}")
+    return levels
 
 
 def _parse_ladder(text: str) -> list[int]:

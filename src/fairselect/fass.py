@@ -15,20 +15,23 @@ uses the feasibility check's matching, later rounds reuse the previous
 round's selection restricted to the surviving requests, which is always
 still feasible.
 
-A later round's columns are a subset of the round before's. When every one
-of them kept its selected grid level up to one common shift, the previous
-selection restricted to the survivors is already optimal, and `run_fass`
-returns it without a solve: any assignment of the survivors plus the
-frozen pair is an assignment of the previous round, so the restriction is
+A later round's columns are a subset of the round before's. When a round
+keeps the previous round's effective step, each level is rint(p / step)
+minus the round's top level, so every surviving column's level moved by
+one common shift, and the previous selection restricted to the survivors
+is already optimal: any assignment of the survivors plus the frozen pair
+is an assignment of the previous round, so the restriction is
 lexicographically no worse than it, and a common shift of every level
-changes no level-wise comparison. From that optimal start every simplex
-pivot would be degenerate, so the simplex would return the same selection.
+changes no level-wise comparison. `run_fass` keeps that selection and
+builds no LP for the round; the simplex, started from it, would make
+only degenerate pivots and return it. Every round's record is read off
+its level grid, so a round that builds no LP still reports the LP it
+would have solved.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
@@ -41,6 +44,7 @@ from .lex_transform import (
     build_reduced_subproblem_lp,
     candidate_table,
     effective_range_cap,
+    integer_at_least,
     quantize,
     round_to_plan,
     verify_row_partition,
@@ -67,15 +71,9 @@ class FassConfig:
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be a positive finite number, got {self.step}")
-        if self.range_cap < 1:
-            raise ValueError(f"range_cap must be at least 1, got {self.range_cap}")
+        integer_at_least("range_cap", self.range_cap, 1)
         if self.k_base is not None:
-            try:
-                k_base = operator.index(self.k_base)
-            except TypeError:
-                raise ValueError(f"k_base must be an integer, got {self.k_base!r}") from None
-            if k_base < 2:
-                raise ValueError(f"k_base must be at least 2, got {k_base}")
+            integer_at_least("k_base", self.k_base, 2)
 
 
 @dataclass(frozen=True)
@@ -87,12 +85,12 @@ class RoundRecord:
     provider_id: int
     service_id: int
     payment: float
-    lp_vars: int
-    lp_rows: int
-    lp_objective: float
-    solve_ms: float
-    # simplex pivots of the round solve; 0 in a round whose levels kept the
-    # previous round's order (it calls no solve) and in ip_iterative rounds
+    lp_vars: int  # column count of the round LP, built or not
+    lp_rows: int  # active requests plus the services their columns use
+    lp_objective: float  # xi of the selection: the LP objective at it
+    solve_ms: float  # the round solver's call; 0 in a reused round
+    # simplex pivots of the round solve; 0 in a round that reuses the previous
+    # selection (it kept the previous step and builds no LP) and in ip_iterative rounds
     iterations: int
     step: float  # effective quantization step after doubling
     doublings: int  # times the requested step was doubled to fit the level range
@@ -100,7 +98,7 @@ class RoundRecord:
     K: int  # objective base
     pricing_ms: float  # simplex time choosing entering columns; 0 in the same rounds
     pivot_ms: float  # simplex time in ratio tests and pivots; 0 in the same rounds
-    max_integrality_gap: float  # worst |x - round(x)| over the selection block
+    max_integrality_gap: float  # worst |x - round(x)| over the selection block; 0 if reused
 
 
 @dataclass(frozen=True)
@@ -141,60 +139,41 @@ def _crash_basis(layout: LambdaLayout, warm: np.ndarray) -> np.ndarray:
     return np.concatenate((np.searchsorted(layout.columns, warm), slacks))
 
 
-def _keeps_level_order(previous: LambdaLayout, layout: LambdaLayout) -> bool:
-    """Whether layout's columns all sit in previous, their levels shifted by one constant."""
-    at = np.minimum(np.searchsorted(previous.columns, layout.columns), previous.num_triples - 1)
-    if not np.array_equal(previous.columns[at], layout.columns):
-        return False
-    shift = layout.levels - previous.levels[at]
-    return bool((shift == shift[0]).all())
+def _warm_simplex(lp: StandardLP, layout: LambdaLayout, warm: np.ndarray) -> LPSolution:
+    """The round LP's simplex, started from the crash basis of the warm selection."""
+    return solve(
+        lp,
+        initial_basis=_crash_basis(layout, warm),
+        lex_costs=layout.lex_cost_rows(),
+        lex_exact=True,
+    )
 
 
-def _selection_solution(lp: StandardLP, layout: LambdaLayout, warm: np.ndarray) -> LPSolution:
-    """The warm selection (ascending table columns) as the round's optimal solution."""
-    at = np.minimum(np.searchsorted(layout.columns, warm), layout.num_triples - 1)
-    if not np.array_equal(layout.columns[at], warm):
-        raise InvariantError("warm start selects a column outside the round")
-    values = np.zeros(lp.num_vars)
-    values[at] = 1.0
-    return LPSolution(status="optimal", values=values, objective_value=float(lp.objective @ values))
-
-
-# (lp, layout, warm-start selection as ascending table columns) -> optimal solution
-RoundSolver = Callable[[StandardLP, LambdaLayout, np.ndarray], LPSolution]
+# kept -> None to keep the warm selection, or the round's LP solver:
+# (lp, layout, warm selection as ascending table columns) -> optimal solution
+RoundSolver = Callable[[bool], Callable[[StandardLP, LambdaLayout, np.ndarray], LPSolution] | None]
 
 
 def run_fass(scenario: Scenario, config: FassConfig | None = None) -> FassResult:
     """Compute the max-min fair assignment; returns (plan, payments, trace).
 
-    Rounds run the warm-started simplex, except a round whose levels kept
-    the previous round's order: it takes the previous selection as it
-    stands, and its record shows 0 iterations, pricing_ms and pivot_ms.
+    Rounds run the warm-started simplex, except a round that kept the
+    previous round's quantization step: it takes the previous selection as
+    it stands, builds no LP, and its record shows 0 iterations, solve_ms,
+    pricing_ms and pivot_ms.
     """
-    config = config or FassConfig()
-    previous: LambdaLayout | None = None
-
-    def warm_simplex(lp, layout, warm):
-        nonlocal previous
-        confirmed = previous is not None and _keeps_level_order(previous, layout)
-        previous = layout
-        if confirmed:
-            return _selection_solution(lp, layout, warm)
-        return solve(
-            lp,
-            initial_basis=_crash_basis(layout, warm),
-            lex_costs=layout.lex_cost_rows(),
-            lex_exact=True,
-        )
-
-    return freeze_rounds(scenario, config, warm_simplex)
+    return freeze_rounds(
+        scenario, config or FassConfig(), lambda kept: None if kept else _warm_simplex
+    )
 
 
 def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolver) -> FassResult:
     """The engine loop: solve a round, freeze its worst-paid request, repeat.
 
-    solve_round answers each round's LP; a solution that is not optimal is
-    an invariant violation, because a saturating matching exists.
+    solve_round(kept), kept being whether the round's effective step equals
+    the previous round's, names the round's LP solver, or None to keep the
+    previous selection without building the LP. A solution that is not
+    optimal is an invariant violation, because a saturating matching exists.
     """
     if scenario.num_requests == 0:
         raise ValueError("scenario has no requests")
@@ -219,28 +198,39 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
         n_candidates = table.columns(active, removed).size
         cap = effective_range_cap(config.range_cap, n_candidates, config.k_base)
         quant = quantize(table, active, config.step, cap, excluded_services=removed)
-        lp, layout = build_reduced_subproblem_lp(
-            table, frozen, active, quant, k_override=config.k_base
-        )
-        ok, bad_col = verify_row_partition(layout.block, layout.num_request_rows)
-        if not ok:
-            raise InvariantError(f"selection rows lost their two-block structure at column {bad_col}")
+        columns, levels = quant.grid.columns, quant.grid.levels[:, 1]
+        solver = solve_round(quant.step == prev_step)
 
-        t0 = time.perf_counter()
-        solution = solve_round(lp, layout, warm)
-        solve_ms = (time.perf_counter() - t0) * 1000.0
-        if solution.status != "optimal":
-            # a saturating matching exists, so the LP cannot be infeasible or unbounded
-            raise InvariantError(f"round {round_index} LP came back {solution.status}")
-
-        x_block = solution.values[: layout.num_triples]
-        rounded = np.rint(x_block)
-        integrality_gap = float(np.max(np.abs(x_block - rounded)))
-        plan_round = round_to_plan(solution, layout, frozen)
-        chosen = layout.columns[rounded == 1]  # one per active request: round_to_plan checked
+        if solver is None:  # the warm selection is the round's optimum: see the module docstring
+            at = np.minimum(np.searchsorted(columns, warm), columns.size - 1)
+            if not np.array_equal(columns[at], warm):
+                raise InvariantError("warm start selects a column outside the round")
+            selected = np.zeros(columns.size, dtype=bool)
+            selected[at] = True
+            iterations, solve_ms, pricing_ms, pivot_ms, integrality_gap = 0, 0.0, 0.0, 0.0, 0.0
+        else:
+            lp, layout = build_reduced_subproblem_lp(
+                table, frozen, active, quant, k_override=config.k_base
+            )
+            ok, bad_col = verify_row_partition(layout.block, layout.num_request_rows)
+            if not ok:
+                raise InvariantError(f"selection rows lost their two-block structure at column {bad_col}")
+            t0 = time.perf_counter()
+            solution = solver(lp, layout, warm)
+            solve_ms = (time.perf_counter() - t0) * 1000.0
+            if solution.status != "optimal":
+                # a saturating matching exists, so the LP cannot be infeasible or unbounded
+                raise InvariantError(f"round {round_index} LP came back {solution.status}")
+            iterations, pricing_ms, pivot_ms = solution.iterations, solution.pricing_ms, solution.pivot_ms
+            x_block = solution.values[: layout.num_triples]
+            selected = np.rint(x_block) == 1
+            integrality_gap = float(np.max(np.abs(x_block - np.rint(x_block))))
+            round_to_plan(solution, layout, frozen)  # one service per request, none frozen
+        chosen = columns[selected]
         payments = dict(zip(table.request[chosen].tolist(), table.pay1[chosen].tolist()))
         n_star = select_min_payment_request(payments)
-        choice = plan_round.choices[n_star]
+        star = chosen[table.request[chosen] == n_star][0]
+        choice = (int(table.provider[star]), int(table.service[star]))
 
         if prev_payment is not None:
             slack = max(quant.step, prev_step) + 1e-9
@@ -252,6 +242,9 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
         prev_payment = payments[n_star]
         prev_step = quant.step
 
+        # the round LP's shape and objective as build_reduced_subproblem_lp makes them
+        K = max(2, columns.size) if config.k_base is None else int(config.k_base)
+        objective = float(K) ** (-levels).astype(float)
         records.append(
             RoundRecord(
                 round_index=round_index,
@@ -259,17 +252,17 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
                 provider_id=choice[0],
                 service_id=choice[1],
                 payment=payments[n_star],
-                lp_vars=lp.num_vars,
-                lp_rows=lp.num_rows,
-                lp_objective=solution.objective_value,
+                lp_vars=columns.size,
+                lp_rows=len(active) + int(np.count_nonzero(np.bincount(table.flat[columns]))),
+                lp_objective=float(objective @ selected.astype(float)),
                 solve_ms=solve_ms,
-                iterations=solution.iterations,
+                iterations=iterations,
                 step=quant.step,
                 doublings=quant.doublings,
-                levels=layout.num_levels,
-                K=layout.K,
-                pricing_ms=solution.pricing_ms,
-                pivot_ms=solution.pivot_ms,
+                levels=1 - int(levels.min()),
+                K=K,
+                pricing_ms=pricing_ms,
+                pivot_ms=pivot_ms,
                 max_integrality_gap=integrality_gap,
             )
         )

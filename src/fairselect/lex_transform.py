@@ -39,6 +39,7 @@ themselves, or take the engine's table.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -220,6 +221,16 @@ def effective_range_cap(range_cap: int, num_triples: int, k_base: int | None = N
     return max(1, min(range_cap, int(300.0 / math.log10(K))))
 
 
+def integer_at_least(name: str, value, least: int) -> int:
+    """value as an int; ValueError if operator.index refuses it or it is below least."""
+    try:
+        if operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def candidate_triples(
     scenario: Scenario,
     active_requests: Sequence[int],
@@ -247,8 +258,7 @@ def quantize(
     """
     if step <= 0 or not math.isfinite(step):
         raise ValueError(f"step must be positive, got {step}")
-    if range_cap < 1:
-        raise ValueError(f"range_cap must be at least 1, got {range_cap}")
+    range_cap = integer_at_least("range_cap", range_cap, 1)  # nan would never end the doubling
     table = _table(scenario)
     columns = table.columns(active_requests, excluded_services)
     if not columns.size:
@@ -354,11 +364,6 @@ class LambdaLayout:
         providers = np.searchsorted(start, self.services, side="right") - 1
         return tuple(zip(providers.tolist(), (self.services - start[providers]).tolist()))
 
-    @property
-    def num_levels(self) -> int:
-        """Row count of lex_cost_rows: the grid levels from the deepest to 0."""
-        return 1 - int(self.levels.min())
-
     def lex_cost_rows(self) -> np.ndarray:
         """Objective as one row per grid level, deepest level first.
 
@@ -367,8 +372,8 @@ class LambdaLayout:
         because each row's dot product is bounded by the candidate count.
         Column t carries +1 at its selected level.
         """
-        deepest = 1 - self.num_levels  # levels run deepest..0
-        rows = np.zeros((self.num_levels, self.num_triples))
+        deepest = int(self.levels.min())  # levels run deepest..0
+        rows = np.zeros((1 - deepest, self.num_triples))
         rows[self.levels - deepest, np.arange(self.num_triples)] = 1.0
         return rows
 

@@ -277,6 +277,14 @@ def test_sweep_level_range_syntax(dataset_file, tmp_path):
     assert main(["sweep", "--dataset", dataset_file, "--levels", "a..b", "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize("levels", ["5..1", ",", ""])
+def test_sweep_without_levels_exits_3(levels, dataset_file, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--dataset", dataset_file, "--levels", levels, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_bench_smoke(dataset_file, tmp_path, capsys):
     out = tmp_path / "timing.csv"
     rc = main(["bench", "--dataset", dataset_file, "--ladder", "450", "--reps", "1", "--out", str(out)])

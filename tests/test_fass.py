@@ -190,56 +190,68 @@ def _confirmation_scenarios():
     ]
 
 
-def test_confirmed_rounds_match_the_simplex(monkeypatch):
-    # with the check answering "no" every round runs the simplex: the reference
-    confirmed = 0
-    keeps_level_order = fass_module._keeps_level_order
-
-    def counting_check(previous, layout):
-        nonlocal confirmed
-        kept = keeps_level_order(previous, layout)
-        confirmed += kept
-        return kept
-
+def test_confirmed_rounds_match_the_simplex():
+    # the reference solves every round, reused or not, with the warm simplex
+    reused = 0
     untimed = {"iterations": 0, "pricing_ms": 0.0, "pivot_ms": 0.0, "solve_ms": 0.0}
     for scenario in _confirmation_scenarios():
-        monkeypatch.setattr(fass_module, "_keeps_level_order", counting_check)
         fast = run_fass(scenario)
-        monkeypatch.setattr(fass_module, "_keeps_level_order", lambda previous, layout: False)
-        reference = run_fass(scenario)
+        reference = fass_module.freeze_rounds(scenario, FassConfig(), lambda kept: fass_module._warm_simplex)
         assert fast.plan.choices == reference.plan.choices
         assert fast.payments.per_request == reference.payments.per_request
         assert [dataclasses.replace(r, **untimed) for r in fast.trace.rounds] == [
             dataclasses.replace(r, **untimed) for r in reference.trace.rounds
         ]
-    assert confirmed > 0
+        steps = [r.step for r in fast.trace.rounds]
+        reused += sum(step == before for before, step in zip(steps, steps[1:]))
+    assert reused > 0
 
 
-def test_confirmed_rounds_are_what_the_simplex_returns(monkeypatch):
-    # every round the check confirms: the warm-started simplex selects
-    # exactly the warm columns, the selection the round takes without it
+def test_confirmed_rounds_are_what_the_simplex_returns():
+    # every round that kept its step, solved anyway: the simplex from the
+    # warm selection's crash basis selects exactly the warm columns, which
+    # run_fass keeps without a solve
     confirmed = 0
-    selection_solution = fass_module._selection_solution
 
-    def checked(lp, layout, warm):
-        nonlocal confirmed
-        confirmed += 1
-        simplex = solve(
-            lp,
-            initial_basis=fass_module._crash_basis(layout, warm),
-            lex_costs=layout.lex_cost_rows(),
-            lex_exact=True,
-        )
-        assert simplex.status == "optimal"
-        assert np.array_equal(layout.columns[np.rint(simplex.values) == 1], warm)
-        solution = selection_solution(lp, layout, warm)
-        assert np.array_equal(solution.values, simplex.values)
-        return solution
+    def solve_round(kept):
+        def checked(lp, layout, warm):
+            nonlocal confirmed
+            solution = fass_module._warm_simplex(lp, layout, warm)
+            if kept:
+                confirmed += 1
+                assert solution.status == "optimal"
+                assert np.array_equal(layout.columns[np.rint(solution.values) == 1], warm)
+            return solution
 
-    monkeypatch.setattr(fass_module, "_selection_solution", checked)
+        return checked
+
     for scenario in _confirmation_scenarios():
-        run_fass(scenario)
+        fass_module.freeze_rounds(scenario, FassConfig(), solve_round)
     assert confirmed > 0
+
+
+def test_reused_rounds_build_no_lp(monkeypatch):
+    builds = 0
+    build = fass_module.build_reduced_subproblem_lp
+
+    def counting_build(*args, **kwargs):
+        nonlocal builds
+        builds += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(fass_module, "build_reduced_subproblem_lp", counting_build)
+    reused = 0
+    for scenario in _confirmation_scenarios():
+        builds = 0
+        steps = [r.step for r in run_fass(scenario).trace.rounds]
+        solved = 1 + sum(step != before for before, step in zip(steps, steps[1:]))
+        assert builds == solved
+        reused += len(steps) - solved
+    assert reused > 0
+    for scenario in feasible_scenarios(random_scenario, 10, seed=31):
+        builds = 0
+        ip_iterative(scenario)
+        assert builds == scenario.num_requests
 
 
 def test_plans_are_always_feasible_on_random_scenarios():
@@ -282,6 +294,7 @@ def test_bland_pivoting_gives_same_payments():
 def test_out_of_range_config_is_rejected():
     for kwargs in (
         {"step": 0.0}, {"step": -1.0}, {"step": math.nan}, {"step": math.inf}, {"range_cap": 0},
+        {"range_cap": math.nan}, {"range_cap": 2.5}, {"range_cap": math.inf},
         {"k_base": 1}, {"k_base": 0}, {"k_base": -3}, {"k_base": 2.5},
     ):
         with pytest.raises(ValueError):
@@ -301,7 +314,9 @@ def test_round_records_report_their_precision():
                 n_triples = len(candidate_triples(scenario, active, excluded_services=removed))
                 cap = effective_range_cap(config.range_cap, n_triples, config.k_base)
                 quant = quantize(scenario, active, config.step, cap, excluded_services=removed)
-                _, layout = build_reduced_subproblem_lp(scenario, frozen, active, quant)
+                lp, layout = build_reduced_subproblem_lp(scenario, frozen, active, quant)
+                assert record.lp_vars == lp.num_vars
+                assert record.lp_rows == lp.num_rows
                 assert record.step == quant.step
                 assert record.doublings == quant.doublings
                 assert record.levels == layout.lex_cost_rows().shape[0]

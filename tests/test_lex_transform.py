@@ -125,8 +125,9 @@ def test_quantize_validation():
     scenario = single_request_scenario([1.0])
     with pytest.raises(ValueError):
         quantize(scenario, [0], step=0.0)
-    with pytest.raises(ValueError):
-        quantize(scenario, [0], step=0.01, range_cap=0)
+    for range_cap in (0, math.nan, 2.5, math.inf):
+        with pytest.raises(ValueError):
+            quantize(scenario, [0], step=0.01, range_cap=range_cap)
     with pytest.raises(ValueError):
         quantize(scenario, [])
     with pytest.raises(ValueError):
