@@ -115,10 +115,11 @@ def pricing_sweep(
     """
     if scenarios_per_level < 1:
         raise ValueError("scenarios_per_level must be >= 1")
-    rows = []
-    for level in levels:
+    for level in levels:  # every level, before the first scenario is solved
         if not 1 <= level <= 8:
             raise ValueError(f"pricing level {level} outside 1..8")
+    rows = []
+    for level in levels:
         stats: dict[str, list[tuple[float, float]]] = {
             "fass": [],
             "revenue_max": [],

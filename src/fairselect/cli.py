@@ -56,11 +56,12 @@ def _fmt_sorted(values) -> str:
     return "(" + ",".join(f"{v:g}" for v in values) + ")"
 
 
-def _parse_levels(text: str) -> list[int]:
+def _parse_levels(text: str) -> range | list[int]:
+    """A comma list, or lo..hi as a range: pricing_sweep stops at its first level outside 1..8."""
     text = text.strip()
     lo, dots, hi = text.partition("..")
     try:
-        levels = list(range(int(lo), int(hi) + 1)) if dots else [int(tok) for tok in text.split(",") if tok]
+        levels = range(int(lo), int(hi) + 1) if dots else [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise ScenarioFormatError(f"bad levels {text!r}") from None
     if not levels:

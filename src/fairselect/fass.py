@@ -45,6 +45,8 @@ from .lex_transform import (
     candidate_table,
     effective_range_cap,
     integer_at_least,
+    level_objective,
+    objective_base,
     quantize,
     round_to_plan,
     verify_row_partition,
@@ -242,9 +244,7 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
         prev_payment = payments[n_star]
         prev_step = quant.step
 
-        # the round LP's shape and objective as build_reduced_subproblem_lp makes them
-        K = max(2, columns.size) if config.k_base is None else int(config.k_base)
-        objective = float(K) ** (-levels).astype(float)
+        K = objective_base(columns.size, config.k_base)
         records.append(
             RoundRecord(
                 round_index=round_index,
@@ -254,7 +254,7 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
                 payment=payments[n_star],
                 lp_vars=columns.size,
                 lp_rows=len(active) + int(np.count_nonzero(np.bincount(table.flat[columns]))),
-                lp_objective=float(objective @ selected.astype(float)),
+                lp_objective=float(level_objective(levels, K) @ selected.astype(float)),
                 solve_ms=solve_ms,
                 iterations=iterations,
                 step=quant.step,

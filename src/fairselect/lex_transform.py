@@ -215,9 +215,19 @@ class QuantizedPayments:
     grid: Mapping[Triple, tuple[int, int]]
 
 
+def objective_base(num_columns: int, k_base: int | None = None) -> int:
+    """Base K of a round's level objective: k_base when given, else the column count, at least 2."""
+    return max(2, num_columns) if k_base is None else integer_at_least("k_base", k_base, 2)
+
+
+def level_objective(levels: np.ndarray, K: int) -> np.ndarray:
+    """Objective coefficients K**(-level) of the columns' selected-payment levels."""
+    return float(K) ** (-levels).astype(float)
+
+
 def effective_range_cap(range_cap: int, num_triples: int, k_base: int | None = None) -> int:
     """Shrink the level range so K**span stays inside double precision."""
-    K = max(2, num_triples) if k_base is None else max(2, k_base)
+    K = objective_base(num_triples, k_base)
     return max(1, min(range_cap, int(300.0 / math.log10(K))))
 
 
@@ -412,9 +422,7 @@ def build_reduced_subproblem_lp(
         raise InfeasibleError(f"no remaining candidate services for requests {starved}")
     levels = _round_levels(quant.grid, table, columns)[:, 1]
 
-    K = max(2, columns.size) if k_override is None else int(k_override)
-    if K < 2:
-        raise ValueError(f"K must be at least 2, got {K}")
+    K = objective_base(columns.size, k_override)
     deepest = int(-levels.min())
     if deepest * math.log10(K) > MAX_COEFF_EXP10:
         raise ValueError(
@@ -448,7 +456,7 @@ def build_reduced_subproblem_lp(
         block=block,
     )
     lp = StandardLP.from_entries(
-        objective=float(K) ** (-levels).astype(float),
+        objective=level_objective(levels, K),
         entries=block,
         relations=("=",) * len(active) + ("<=",) * services.size,
         rhs=np.ones(num_rows),

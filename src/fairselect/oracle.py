@@ -1,19 +1,21 @@
 """Exhaustive reference solvers for small scenarios.
 
-These enumerate every feasible plan with exact (unquantized) payment
-arithmetic and exist to certify the LP-based solvers in tests and in the
-`oracle-check` command. Guard rails, not performance: instances must stay
-within the enumeration cap.
+One backtracking walk yields every feasible plan as a tuple of service
+keys, and one best-plan loop keeps the plans whose payments score
+greatest, pricing each (request, service) pair once with exact
+(unquantized) payment arithmetic. They certify the LP-based solvers in
+tests and in the `oracle-check` command. Guard rails, not performance:
+instances must stay within the enumeration cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
-from .errors import InfeasibleError
-from .model import AssignmentPlan, Scenario, lex_compare, payment_vector
+from .errors import InfeasibleError, NonFinitePaymentError
+from .model import AssignmentPlan, Scenario, assignment_payment
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -33,6 +35,32 @@ class EnumerationReport:
     optimal_revenue: float
 
 
+def _choices(pools: Sequence[Collection[tuple[int, int]]], node_cap: int) -> Iterator[tuple]:
+    """Each choice of distinct keys, one from each pool in turn, in pool order.
+
+    ValueError above node_cap partial assignments: the pool sizes'
+    product is checked up front, the nodes visited as the walk goes.
+    """
+    too_big = f"search space exceeds the enumeration cap ({node_cap} partial nodes)"
+    if math.prod(max(1, len(pool)) for pool in pools) > node_cap:
+        raise ValueError(too_big)
+    visited = 0
+
+    def walk(chosen: tuple) -> Iterator[tuple]:
+        nonlocal visited
+        if len(chosen) == len(pools):
+            yield chosen
+            return
+        for key in pools[len(chosen)]:
+            if key not in chosen:
+                visited += 1
+                if visited > node_cap:
+                    raise ValueError(too_big)
+                yield from walk(chosen + (key,))
+
+    yield from walk(())
+
+
 def enumerate_feasible(
     scenario: Scenario, node_cap: int = DEFAULT_NODE_CAP
 ) -> Iterator[AssignmentPlan]:
@@ -42,90 +70,51 @@ def enumerate_feasible(
     (provider, service) order. Raises ValueError when the search space
     exceeds node_cap partial assignments.
     """
-    pools = [
-        [svc.key for svc in scenario.candidate_pool(n)] for n in range(scenario.num_requests)
+    pools = [[svc.key for svc in scenario.candidate_pool(n)] for n in range(scenario.num_requests)]
+    return (AssignmentPlan(dict(enumerate(choice))) for choice in _choices(pools, node_cap))
+
+
+def _best_plans(
+    scenario: Scenario, node_cap: int, score: Callable[[Iterable[float]], object]
+) -> EnumerationReport:
+    """The plans of greatest score, in enumerate_feasible's order.
+
+    A non-finite payment, which no score orders, is a NonFinitePaymentError
+    naming the first such candidate (request, provider, service).
+    """
+    prices = [  # each request's pool, service key -> payment
+        {svc.key: assignment_payment(req, svc, selected=True) for svc in scenario.candidate_pool(n)}
+        for n, req in enumerate(scenario.requests)
     ]
-    bound = 1
-    for pool in pools:
-        bound *= max(1, len(pool))
-        if bound > node_cap:
-            raise ValueError(
-                f"search space exceeds the enumeration cap ({node_cap} partial nodes)"
+    for n, price in enumerate(prices):
+        bad = [(n, *key) for key, payment in price.items() if not math.isfinite(payment)]
+        if bad:
+            raise NonFinitePaymentError(
+                f"candidate (request, provider, service) {bad[0]} has a non-finite payment", bad[0]
             )
-
-    visited = 0
-    choices: dict[int, tuple[int, int]] = {}
-    used: set[tuple[int, int]] = set()
-
-    def walk(n: int) -> Iterator[AssignmentPlan]:
-        nonlocal visited
-        if n == scenario.num_requests:
-            yield AssignmentPlan(dict(choices))
-            return
-        for key in pools[n]:
-            if key in used:
-                continue
-            visited += 1
-            if visited > node_cap:
-                raise ValueError(
-                    f"search space exceeds the enumeration cap ({node_cap} partial nodes)"
-                )
-            choices[n] = key
-            used.add(key)
-            yield from walk(n + 1)
-            del choices[n]
-            used.discard(key)
-
-    yield from walk(0)
+    best, best_choices = None, []
+    for count, choice in enumerate(_choices(prices, node_cap), 1):
+        value = score(map(dict.__getitem__, prices, choice))
+        if best is None or value > best:
+            best, best_choices = value, [choice]
+        elif value == best:
+            best_choices.append(choice)
+    if best is None:
+        raise InfeasibleError("no feasible plan exists")
+    payments = list(map(dict.__getitem__, prices, best_choices[0]))
+    return EnumerationReport(
+        feasible_count=count,
+        optimal_plans=tuple(AssignmentPlan(dict(enumerate(c))) for c in best_choices),
+        optimal_sorted=tuple(sorted(payments)),
+        optimal_revenue=math.fsum(payments),
+    )
 
 
 def brute_force_mmf(scenario: Scenario, node_cap: int = DEFAULT_NODE_CAP) -> EnumerationReport:
-    """Max-min fair optimum by exhaustive lexicographic comparison."""
-    count = 0
-    best_sorted: tuple[float, ...] | None = None
-    best_plans: list[AssignmentPlan] = []
-    for plan in enumerate_feasible(scenario, node_cap):
-        count += 1
-        pv = payment_vector(plan, scenario).sorted_view
-        if best_sorted is None:
-            best_sorted, best_plans = pv, [plan]
-            continue
-        cmp = lex_compare(pv, best_sorted)
-        if cmp > 0:
-            best_sorted, best_plans = pv, [plan]
-        elif cmp == 0:
-            best_plans.append(plan)
-    if best_sorted is None:
-        raise InfeasibleError("no feasible plan exists")
-    return EnumerationReport(
-        feasible_count=count,
-        optimal_plans=tuple(best_plans),
-        optimal_sorted=best_sorted,
-        optimal_revenue=math.fsum(best_sorted),
-    )
+    """Max-min fair optimum: the greatest sorted payment tuple, compared lexicographically."""
+    return _best_plans(scenario, node_cap, lambda payments: tuple(sorted(payments)))
 
 
 def brute_force_revenue(scenario: Scenario, node_cap: int = DEFAULT_NODE_CAP) -> EnumerationReport:
     """Revenue optimum by exhaustive summation (ties kept in order found)."""
-    count = 0
-    best_revenue = -math.inf
-    best_plans: list[AssignmentPlan] = []
-    best_sorted: tuple[float, ...] | None = None
-    for plan in enumerate_feasible(scenario, node_cap):
-        count += 1
-        pv = payment_vector(plan, scenario)
-        revenue = math.fsum(pv.per_request)
-        if revenue > best_revenue:
-            best_revenue = revenue
-            best_plans = [plan]
-            best_sorted = pv.sorted_view
-        elif revenue == best_revenue:
-            best_plans.append(plan)
-    if best_sorted is None:
-        raise InfeasibleError("no feasible plan exists")
-    return EnumerationReport(
-        feasible_count=count,
-        optimal_plans=tuple(best_plans),
-        optimal_sorted=best_sorted,
-        optimal_revenue=best_revenue,
-    )
+    return _best_plans(scenario, node_cap, math.fsum)

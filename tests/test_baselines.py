@@ -69,6 +69,14 @@ def test_revenue_max_infeasible():
     )
     with pytest.raises(InfeasibleError):
         revenue_max(scenario)
+    # four services, but both requests may only use provider 0's single one:
+    # the matching itself finds no full assignment
+    narrow = make_scenario(
+        pools=[[1.0], [1.0, 2.0, 3.0]],
+        requests=[({0}, 1.0, 1.0, 2.0), ({0}, 1.0, 1.0, 2.0)],
+    )
+    with pytest.raises(InfeasibleError):
+        revenue_max(narrow)
 
 
 def test_randomized_is_deterministic_per_seed(canonical):

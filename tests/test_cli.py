@@ -174,6 +174,14 @@ def test_infeasible_scenario_exits_2(tmp_path, capsys):
     write_scenario(crowded, str(path))
     assert main(["solve", str(path)]) == 2
     assert "infeasible" in capsys.readouterr().err
+    # four services, but both requests may only use provider 0's single one
+    narrow = make_scenario(
+        pools=[[1.0], [1.0, 2.0, 3.0]],
+        requests=[({0}, 1.0, 1.0, 2.0), ({0}, 1.0, 1.0, 2.0)],
+    )
+    write_scenario(narrow, str(path))
+    assert main(["solve", str(path), "--algo", "revmax"]) == 2
+    assert "infeasible" in capsys.readouterr().err
 
 
 def test_non_finite_payment_exits_3_promptly(tmp_path):
@@ -210,6 +218,22 @@ def test_non_finite_payment_names_the_file_ids(tmp_path, capsys):
     path = tmp_path / "overflow.json"
     write_scenario(overflow, str(path))
     assert main(["solve", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite payment" in err
+    assert "request 1, provider 2, service 1" in err
+
+
+@pytest.mark.parametrize("bonus", [1.0, 0.0])
+def test_oracle_check_refuses_non_finite_payments(bonus, tmp_path, capsys):
+    # at bonus 0 the overflowing payment is nan (0 * inf), which the oracle
+    # must refuse as it refuses -inf, before the engine runs
+    overflow = make_scenario(
+        pools=[[0.5], [1e308, 1.0]],
+        requests=[({1}, 1.0, bonus, 1e-10), ({1}, 1.0, 1.0, 1.0)],
+    )
+    path = tmp_path / "overflow.json"
+    write_scenario(overflow, str(path))
+    assert main(["oracle-check", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "non-finite payment" in err
     assert "request 1, provider 2, service 1" in err
@@ -285,6 +309,20 @@ def test_sweep_without_levels_exits_3(levels, dataset_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("levels", ["1..9", "0..8", "1,9"])
+def test_sweep_rejects_a_bad_level_before_solving(levels, dataset_file, tmp_path, monkeypatch, capsys):
+    import fairselect.bench as bench_module
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the sweep solved a scenario before rejecting its levels")
+
+    monkeypatch.setattr(bench_module, "run_fass", no_solve)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--dataset", dataset_file, "--levels", levels, "--out", str(out)]) == 3
+    assert "outside 1..8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_smoke(dataset_file, tmp_path, capsys):
     out = tmp_path / "timing.csv"
     rc = main(["bench", "--dataset", dataset_file, "--ladder", "450", "--reps", "1", "--out", str(out)])
@@ -293,6 +331,8 @@ def test_bench_smoke(dataset_file, tmp_path, capsys):
     assert lines[0] == "vars,algorithm,mean_ms,reps"
     assert len(lines) == 3
     assert main(["bench", "--dataset", dataset_file, "--ladder", "", "--out", str(out)]) == 3
+    assert main(["bench", "--dataset", dataset_file, "--ladder", "450,x", "--out", str(out)]) == 3
+    assert "bad ladder" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -158,6 +158,8 @@ def test_effective_range_cap():
     assert effective_range_cap(100, 0) == 100  # K floors at 2
     assert effective_range_cap(100, 4, k_base=10**15) == 20
     assert effective_range_cap(0, 4) == 1  # never collapses below one level
+    with pytest.raises(ValueError):
+        effective_range_cap(100, 4, k_base=1)  # an invalid base is refused, not floored at 2
 
 
 def test_candidate_triples_order_and_exclusion():
@@ -223,6 +225,10 @@ def test_stale_grid_is_rejected():
     quant = quantize(scenario, [0])  # grid only covers request 0
     with pytest.raises(ValueError, match="stale"):
         build_reduced_subproblem_lp(scenario, {}, [0, 1], quant)
+    # a LevelGrid over the builder's own table is read by column, not by triple
+    table = candidate_table(scenario)
+    with pytest.raises(ValueError, match="stale"):
+        build_reduced_subproblem_lp(table, {}, [0, 1], quantize(table, [0]))
 
 
 def test_overflow_guard_on_extreme_level_span():

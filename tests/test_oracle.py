@@ -1,5 +1,7 @@
 """Brute-force reference solvers: enumeration counts and optimality proofs."""
 
+import math
+
 import pytest
 
 from fairselect import (
@@ -11,6 +13,7 @@ from fairselect import (
     payment_vector,
     total_revenue,
 )
+from fairselect.errors import NonFinitePaymentError
 
 from conftest import feasible_scenarios, make_scenario, random_scenario
 
@@ -102,3 +105,45 @@ def test_revenue_oracle_dominates_every_plan():
         best = brute_force_revenue(scenario).optimal_revenue
         for plan in enumerate_feasible(scenario):
             assert total_revenue(plan, scenario) <= best + 1e-12
+
+
+def test_oracles_match_their_definition():
+    """Both searches against enumerate_feasible, payment_vector, lex_compare and fsum."""
+    for scenario in feasible_scenarios(random_scenario, 200, seed=31):
+        plans = list(enumerate_feasible(scenario))
+        views = [payment_vector(plan, scenario) for plan in plans]
+        best = views[0].sorted_view
+        for pv in views[1:]:
+            if lex_compare(pv.sorted_view, best) > 0:
+                best = pv.sorted_view
+        report = brute_force_mmf(scenario)
+        assert report.feasible_count == len(plans)
+        assert report.optimal_plans == tuple(
+            plan for plan, pv in zip(plans, views) if lex_compare(pv.sorted_view, best) == 0
+        )
+        assert report.optimal_sorted == best
+        assert report.optimal_revenue == math.fsum(best)
+
+        revenues = [math.fsum(pv.per_request) for pv in views]
+        top = max(revenues)
+        report = brute_force_revenue(scenario)
+        assert report.feasible_count == len(plans)
+        assert report.optimal_plans == tuple(
+            plan for plan, revenue in zip(plans, revenues) if revenue == top
+        )
+        assert report.optimal_sorted == views[revenues.index(top)].sorted_view
+        assert report.optimal_revenue == top
+
+
+@pytest.mark.parametrize("bonus", [1.0, 0.0])
+def test_oracles_refuse_non_finite_payments(bonus):
+    # request 0's qos ratio on the 1e308 service overflows: its payment there
+    # is -inf at bonus 1 and nan (0 * inf) at bonus 0
+    overflow = make_scenario(
+        pools=[[0.5], [1e308, 1.0]],
+        requests=[({1}, 1.0, bonus, 1e-10), ({1}, 1.0, 1.0, 1.0)],
+    )
+    for oracle in (brute_force_mmf, brute_force_revenue):
+        with pytest.raises(NonFinitePaymentError) as info:
+            oracle(overflow)
+        assert info.value.candidate == (0, 1, 0)

@@ -146,6 +146,48 @@ def test_bad_warm_basis_falls_back_to_phase_one():
     assert solution.status == "optimal"
     assert solution.objective_value == pytest.approx(2.0)
 
+    # column 0 twice is singular: the crash basis is refused and the
+    # two-phase start gives the cold solve's answer
+    problem = lp(
+        [-3.0, -2.0],
+        [([1.0, 1.0], "<=", 4.0), ([1.0, 0.0], "<=", 3.0)],
+    )
+    cold = solve(problem)
+    accepted = []
+    canonicalize = _Tableau.canonicalize_basis
+
+    def recording(self):
+        accepted.append(canonicalize(self))
+        return accepted[-1]
+
+    with mock.patch.object(_Tableau, "canonicalize_basis", recording):
+        warm = solve(problem, initial_basis=[0, 0])
+    assert accepted[0] is False
+    assert (warm.status, warm.objective_value) == (cold.status, cold.objective_value)
+    np.testing.assert_array_equal(warm.values, cold.values)
+
+
+def test_long_degenerate_streaks_switch_to_bland():
+    """All-degenerate LPs (rhs 0) whose Dantzig pivots stall past the streak limit."""
+    rng = np.random.default_rng(0)
+    rules = []
+    run = _Tableau.run
+
+    def recording(self, price_rows, max_iters):
+        status = run(self, price_rows, max_iters)
+        rules.append(self.rule)
+        return status
+
+    with mock.patch.object(_Tableau, "run", recording):
+        for _ in range(20):
+            signs = rng.integers(-1, 2, (20, 400))
+            costs = -rng.random(400)
+            rows = [(row, "<=", 0.0) for row in signs] + [(np.ones(400), "<=", 0.0)]
+            solution = solve(lp(costs, rows))
+            assert solution.status == "optimal"
+            assert solution.objective_value == 0.0 and not solution.values.any()
+    assert "bland" in rules
+
 
 def assignment_lp():
     """2 requests x 2 services selection polytope with equality + capacity rows."""
