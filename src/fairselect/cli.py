@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: solve, oracle-check, sweep, bench, gen. Exit codes: 0 on
-success, 2 infeasible input, 3 malformed input, usage or an out-of-range
-numeric argument, 4 internal invariant violation (non-integral LP, broken
-constraint structure, oracle mismatch).
+success, 2 infeasible input, 3 malformed input (payments whose sum
+overflows a double included), usage or an out-of-range numeric argument,
+4 internal invariant violation (non-integral LP, broken constraint
+structure, oracle mismatch).
 """
 
 from __future__ import annotations
@@ -250,6 +251,10 @@ def main(argv: list[str] | None = None) -> int:
             f"error: request {n}, provider {i}, service {j} has a non-finite payment",
             file=sys.stderr,
         )
+        return EXIT_FORMAT
+    except OverflowError as exc:
+        # finite payments whose sum leaves double range (math.fsum)
+        print(f"error: the scenario's payments overflow a double ({exc})", file=sys.stderr)
         return EXIT_FORMAT
     except (OSError, ValueError) as exc:
         # ValueError: an argument out of range (--step 0, --runs 0, a scenario

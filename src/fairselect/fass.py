@@ -27,10 +27,26 @@ builds no LP for the round; the simplex, started from it, would make
 only degenerate pivots and return it. Every round's record is read off
 its level grid, so a round that builds no LP still reports the LP it
 would have solved.
+
+Round 1 also fixes the columns that every round LP holds. With N
+requests, a request keeps each column whose round-1 selected level is at
+least its N-th best level, or all of its columns if it has fewer than N;
+the starting matching's columns are kept too. The LPs are built on a
+candidate table of the kept columns alone, and no round's optimum changes:
+a dropped column has N columns of its own request on strictly higher
+round-1 levels, so on N distinct services that pay strictly more. In
+round k at most k - 1 of those services are frozen and the other N - k
+active requests hold at most N - k, so one is free; since rint(p / step)
+never falls as p rises, it sits on a level at least as high at any step,
+and moving the request there leaves the sorted levels no worse. Later warm
+starts are earlier LP selections, so they stay inside the kept set.
+Quantization, the reuse test and every record still read the full round;
+only the LP the solver sees shrinks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -40,7 +56,9 @@ import numpy as np
 
 from .errors import InfeasibleError, InvariantError
 from .lex_transform import (
+    CandidateTable,
     LambdaLayout,
+    LevelGrid,
     build_reduced_subproblem_lp,
     candidate_table,
     effective_range_cap,
@@ -87,8 +105,10 @@ class RoundRecord:
     provider_id: int
     service_id: int
     payment: float
-    lp_vars: int  # column count of the round LP, built or not
-    lp_rows: int  # active requests plus the services their columns use
+    # the round's candidate count; the solved LP holds only round 1's kept
+    # columns among them, so it can be smaller (the tracer's simplex.lp_cols_mean)
+    lp_vars: int
+    lp_rows: int  # active requests plus the services their candidates use; the LP's can be fewer
     lp_objective: float  # xi of the selection: the LP objective at it
     solve_ms: float  # the round solver's call; 0 in a reused round
     # simplex pivots of the round solve; 0 in a round that reuses the previous
@@ -151,18 +171,38 @@ def _warm_simplex(lp: StandardLP, layout: LambdaLayout, warm: np.ndarray) -> LPS
     )
 
 
+def _held_columns(table: CandidateTable, levels: np.ndarray, warm: np.ndarray) -> np.ndarray | None:
+    """Ascending table columns the round LPs hold, or None when that is every column.
+
+    levels are round 1's selected levels of every table column. With N
+    requests, a request keeps its columns at or above its N-th best level,
+    or all of them if it has fewer than N, and warm's columns are kept too.
+    """
+    n = table.num_requests
+    counts = np.bincount(table.request, minlength=n)
+    if counts.max() <= n:
+        return None
+    # columns run by request, so this sort keeps each request's block in place, best level first
+    best_first = levels[np.lexsort((-levels, table.request))]
+    nth = best_first[np.minimum(np.cumsum(counts) - counts + n - 1, levels.size - 1)]
+    keep = (levels >= nth[table.request]) | (counts < n)[table.request]
+    keep[warm] = True
+    return None if keep.all() else keep.nonzero()[0]
+
+
 # kept -> None to keep the warm selection, or the round's LP solver:
-# (lp, layout, warm selection as ascending table columns) -> optimal solution
+# (lp, layout, warm selection as ascending columns of layout.table) -> optimal solution
 RoundSolver = Callable[[bool], Callable[[StandardLP, LambdaLayout, np.ndarray], LPSolution] | None]
 
 
 def run_fass(scenario: Scenario, config: FassConfig | None = None) -> FassResult:
     """Compute the max-min fair assignment; returns (plan, payments, trace).
 
-    Rounds run the warm-started simplex, except a round that kept the
-    previous round's quantization step: it takes the previous selection as
-    it stands, builds no LP, and its record shows 0 iterations, solve_ms,
-    pricing_ms and pivot_ms.
+    Rounds run the warm-started simplex over round 1's kept columns (see
+    the module docstring), except a round that kept the previous round's
+    quantization step: it takes the previous selection as it stands, builds
+    no LP, and its record shows 0 iterations, solve_ms, pricing_ms and
+    pivot_ms.
     """
     return freeze_rounds(
         scenario, config or FassConfig(), lambda kept: None if kept else _warm_simplex
@@ -174,8 +214,11 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
 
     solve_round(kept), kept being whether the round's effective step equals
     the previous round's, names the round's LP solver, or None to keep the
-    previous selection without building the LP. A solution that is not
-    optimal is an invariant violation, because a saturating matching exists.
+    previous selection without building the LP. The solver gets the LP over
+    round 1's kept columns, its layout and the warm start, both numbered in
+    that LP's own candidate table, which is the full table when nothing was
+    pruned. A solution that is not optimal is an invariant violation,
+    because a saturating matching exists.
     """
     if scenario.num_requests == 0:
         raise ValueError("scenario has no requests")
@@ -193,42 +236,59 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
     records: list[RoundRecord] = []
     prev_payment: float | None = None
     prev_step = 0.0
+    n_candidates = table.request.size  # round 1's columns: the whole table
     t_start = time.perf_counter()
 
     for round_index in range(1, scenario.num_requests + 1):
         removed = list(frozen.values())
-        n_candidates = table.columns(active, removed).size
         cap = effective_range_cap(config.range_cap, n_candidates, config.k_base)
         quant = quantize(table, active, config.step, cap, excluded_services=removed)
         columns, levels = quant.grid.columns, quant.grid.levels[:, 1]
+        if round_index == 1:  # the LPs hold only these columns: see the module docstring
+            held, lp_table = _held_columns(table, levels, warm), table
+            if held is not None:
+                per_column = ("request", "provider", "service", "flat", "pay0", "pay1")
+                lp_table = dataclasses.replace(table, **{f: getattr(table, f)[held] for f in per_column})
+                position = np.full(table.request.size, -1)  # table column -> lp_table column
+                position[held] = np.arange(held.size)
         solver = solve_round(quant.step == prev_step)
 
         if solver is None:  # the warm selection is the round's optimum: see the module docstring
             at = np.minimum(np.searchsorted(columns, warm), columns.size - 1)
             if not np.array_equal(columns[at], warm):
                 raise InvariantError("warm start selects a column outside the round")
-            selected = np.zeros(columns.size, dtype=bool)
-            selected[at] = True
+            chosen = warm
             iterations, solve_ms, pricing_ms, pivot_ms, integrality_gap = 0, 0.0, 0.0, 0.0, 0.0
         else:
+            lp_quant, lp_warm = quant, warm
+            if held is not None:  # the same grid and warm start, on lp_table's column numbers
+                mapped = position[columns]
+                inside = mapped >= 0
+                grid = LevelGrid(lp_table, mapped[inside], quant.grid.levels[inside])
+                lp_quant = dataclasses.replace(quant, grid=grid)
+                lp_warm = position[warm]
             lp, layout = build_reduced_subproblem_lp(
-                table, frozen, active, quant, k_override=config.k_base
+                lp_table, frozen, active, lp_quant, k_override=config.k_base
             )
             ok, bad_col = verify_row_partition(layout.block, layout.num_request_rows)
             if not ok:
                 raise InvariantError(f"selection rows lost their two-block structure at column {bad_col}")
             t0 = time.perf_counter()
-            solution = solver(lp, layout, warm)
+            solution = solver(lp, layout, lp_warm)
             solve_ms = (time.perf_counter() - t0) * 1000.0
             if solution.status != "optimal":
                 # a saturating matching exists, so the LP cannot be infeasible or unbounded
                 raise InvariantError(f"round {round_index} LP came back {solution.status}")
             iterations, pricing_ms, pivot_ms = solution.iterations, solution.pricing_ms, solution.pivot_ms
             x_block = solution.values[: layout.num_triples]
-            selected = np.rint(x_block) == 1
+            chosen = layout.columns[np.rint(x_block) == 1]
+            if held is not None:
+                chosen = held[chosen]
+            at = np.searchsorted(columns, chosen)
             integrality_gap = float(np.max(np.abs(x_block - np.rint(x_block))))
             round_to_plan(solution, layout, frozen)  # one service per request, none frozen
-        chosen = columns[selected]
+        selected = np.zeros(columns.size, dtype=bool)
+        selected[at] = True
         payments = dict(zip(table.request[chosen].tolist(), table.pay1[chosen].tolist()))
         n_star = select_min_payment_request(payments)
         star = chosen[table.request[chosen] == n_star][0]
@@ -269,6 +329,9 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
         frozen[n_star] = choice
         active.remove(n_star)
         warm = chosen[table.request[chosen] != n_star]
+        # the next round's columns: this round's, less the frozen request's and service's
+        survives = (table.request[columns] != n_star) & (table.flat[columns] != table.flat[star])
+        n_candidates = int(np.count_nonzero(survives))
 
     plan = AssignmentPlan(frozen)
     violations = check_feasible(plan, scenario)

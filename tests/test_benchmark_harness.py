@@ -3,10 +3,12 @@
 perfbench/ wraps engine functions by name (its tracer) and rebuilds round
 grids the way the engine does (measure.effective_steps), so an engine
 refactor can break the benchmark without failing any test here. The
+traced run's declared per-layer metrics must be strict JSON, and the
 package's import footprint is guarded too, because the benchmark reports
 peak memory.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -39,3 +41,29 @@ def test_import_leaves_scipy_optimize_unloaded():
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
     assert proc.stdout.strip() == "False"
+
+
+def test_traced_per_layer_metrics_are_strict_json(monkeypatch):
+    # run.py --trace 1 prints its declared per-layer metrics as one JSON line;
+    # a nan there (say, ms per pivot of a run that never pivots) is not JSON
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import measure
+    import run
+    import tracer as tracing
+    import workloads
+    from fairselect import baselines, fass, scenario_io
+
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    matrix = scenario_io.synthetic_qos_matrix(seed=1)
+    for name, count in (("ladder4500", 2), ("rounds40", 2), ("small-oracle", 10)):
+        tracer = tracing.Tracer()
+        runner = run.Runner(tracer)
+        for k in range(count):
+            case = workloads.make_case(workloads.WORKLOADS[name], matrix, 1, k, tracer)
+            check = lambda result, case=case: measure.check_fass(result, case)  # noqa: E731
+            runner.call("fass", case, lambda s: fass.run_fass(s), check, traced=False)
+            run.run_case(runner, case, measure, fass, baselines)
+        metrics = run.per_layer_metrics(tracing.Summary(tracer), runner, 1.0)
+        assert runner.failed == 0, runner.problems
+        assert metrics["simplex.iterations.fass"][0] > 0, name
+        json.dumps({n: {"value": metrics[n][0], "unit": metrics[n][1]} for n in declared}, allow_nan=False)

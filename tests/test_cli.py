@@ -239,6 +239,21 @@ def test_oracle_check_refuses_non_finite_payments(bonus, tmp_path, capsys):
     assert "request 1, provider 2, service 1" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle-check"])
+def test_overflowing_payment_sum_exits_3(command, tmp_path, capsys):
+    # every payment is finite, but two of them sum past the double range
+    huge = make_scenario(
+        pools=[[1.0, 2.0]],
+        requests=[({0}, 1e308, 1.0, 1.0), ({0}, 1e308, 1.0, 1.0)],
+    )
+    path = tmp_path / "huge.json"
+    write_scenario(huge, str(path))
+    assert main([command, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflow" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_usage_errors_exit_3(capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve", "x.json", "--frobnicate"])

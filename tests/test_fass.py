@@ -133,33 +133,38 @@ def test_trace_records_are_coherent():
     assert result.trace.total_ms >= sum(r.solve_ms for r in result.trace.rounds)
 
 
+def _solved(rounds):
+    # the rounds that called solve, in order; the others record a solve_ms of 0
+    return [r for r in rounds if r.solve_ms > 0]
+
+
 def test_round_records_carry_simplex_iterations(monkeypatch):
-    # a round LP's column count falls strictly from round to round, so it
-    # names the round of each solve; rounds that call no solve record 0
-    seen = {}
+    # the k-th solve call is the k-th round with a timed solve; rounds that
+    # call no solve record 0
+    seen = []
 
     def counting_solve(lp, **kwargs):
         solution = solve(lp, **kwargs)
-        seen[lp.num_vars] = solution.iterations
+        seen.append(solution.iterations)
         return solution
 
     monkeypatch.setattr(fass_module, "solve", counting_solve)
+    pivots = 0
     for scenario in feasible_scenarios(random_scenario, 10, seed=19):
         seen.clear()
-        result = run_fass(scenario)
-        assert [r.iterations for r in result.trace.rounds] == [
-            seen.get(r.lp_vars, 0) for r in result.trace.rounds
-        ]
-        assert set(seen) <= {r.lp_vars for r in result.trace.rounds}
-    assert sum(seen.values()) > 0
+        rounds = run_fass(scenario).trace.rounds
+        assert [r.iterations for r in _solved(rounds)] == seen
+        assert all(r.iterations == 0 for r in rounds if r.solve_ms == 0)
+        pivots += sum(seen)
+    assert pivots > 0
 
 
 def test_round_records_carry_simplex_timings(monkeypatch):
-    seen = {}
+    seen = []
 
     def timed_solve(lp, **kwargs):
         solution = solve(lp, **kwargs)
-        seen[lp.num_vars] = (solution.pricing_ms, solution.pivot_ms)
+        seen.append((solution.pricing_ms, solution.pivot_ms))
         return solution
 
     monkeypatch.setattr(fass_module, "solve", timed_solve)
@@ -167,10 +172,8 @@ def test_round_records_carry_simplex_timings(monkeypatch):
     for scenario in feasible_scenarios(random_scenario, 10, seed=19):
         seen.clear()
         rounds = run_fass(scenario).trace.rounds
-        assert [(r.pricing_ms, r.pivot_ms) for r in rounds] == [
-            seen.get(r.lp_vars, (0.0, 0.0)) for r in rounds
-        ]
-        assert set(seen) <= {r.lp_vars for r in rounds}
+        assert [(r.pricing_ms, r.pivot_ms) for r in _solved(rounds)] == seen
+        assert all((r.pricing_ms, r.pivot_ms) == (0.0, 0.0) for r in rounds if r.solve_ms == 0)
         for r in rounds:
             assert r.pricing_ms >= 0.0 and r.pivot_ms >= 0.0
             assert r.pricing_ms + r.pivot_ms <= r.solve_ms  # parts of the timed solve
@@ -252,6 +255,76 @@ def test_reused_rounds_build_no_lp(monkeypatch):
         builds = 0
         ip_iterative(scenario)
         assert builds == scenario.num_requests
+
+
+def test_pruned_round_lps_keep_the_full_optimum(monkeypatch):
+    # every solved round's LP, over the kept columns only, reaches the same
+    # sorted selected levels as the round's full LP from the same warm start
+    ladder = generate_scenario(
+        synthetic_qos_matrix(seed=0), n_requests=10, n_providers=9, pool_size=50,
+        constraint_density=1.0, pricing_level=4, seed=1,
+    )
+    last = {}  # the round's full grid, then its frozen and active requests with it
+    quantize_, build = fass_module.quantize, fass_module.build_reduced_subproblem_lp
+
+    def recording_quantize(*args, **kwargs):
+        last["quant"] = quantize_(*args, **kwargs)
+        return last["quant"]
+
+    def recording_build(table, frozen, active, quant, **kwargs):
+        last["round"] = (dict(frozen), list(active), last["quant"])
+        return build(table, frozen, active, quant, **kwargs)
+
+    monkeypatch.setattr(fass_module, "quantize", recording_quantize)
+    monkeypatch.setattr(fass_module, "build_reduced_subproblem_lp", recording_build)
+
+    def selected_levels(layout, solution):
+        return sorted(layout.levels[np.rint(solution.values[: layout.num_triples]) == 1].tolist())
+
+    def solve_round(kept):
+        def checked(lp, layout, warm):
+            nonlocal compared
+            solution = fass_module._warm_simplex(lp, layout, warm)
+            frozen, active, quant = last["round"]
+            full_lp, full = build_reduced_subproblem_lp(scenario, frozen, active, quant)
+            position = {t: k for k, t in enumerate(full.triples)}
+            full_warm = full.columns[[position[t] for t in layout.table.triples(warm)]]
+            if len(frozen) == 0:
+                first.append((full.num_triples, layout))
+            reference = fass_module._warm_simplex(full_lp, full, full_warm)
+            assert selected_levels(layout, solution) == selected_levels(full, reference)
+            compared += 1
+            return solution
+
+        return None if kept else checked
+
+    compared = 0
+    scenarios = [*_confirmation_scenarios(), ladder]
+    for scenario in scenarios:
+        first = []
+        fass_module.freeze_rounds(scenario, FassConfig(), solve_round)
+    assert compared > len(scenarios)
+    candidates, layout = first[0]  # the ladder draw's round 1
+    assert layout.num_triples < candidates == 4500
+    start = fass_module.saturating_matching(ladder)
+    assert {(n, i, j) for n, (i, j) in start.items()} <= set(layout.triples)
+
+
+def test_range_cap_counts_each_rounds_candidates(monkeypatch):
+    # the engine counts a round's candidates from the round before's; the
+    # count must be the round's own, which its record carries as lp_vars
+    counts = []
+    cap = fass_module.effective_range_cap
+
+    def counting_cap(range_cap, num_triples, k_base=None):
+        counts.append(num_triples)
+        return cap(range_cap, num_triples, k_base)
+
+    monkeypatch.setattr(fass_module, "effective_range_cap", counting_cap)
+    for scenario in _confirmation_scenarios():
+        counts.clear()
+        rounds = run_fass(scenario).trace.rounds
+        assert counts == [r.lp_vars for r in rounds]
 
 
 def test_plans_are_always_feasible_on_random_scenarios():
