@@ -2,7 +2,10 @@
 # selection of one level LP, freezes the worst-paid remaining request at its
 # assignment, and shrinks the problem. A round that keeps the previous
 # round's quantization step reuses the previous selection and builds no LP
-# (0 iterations, 0 ms); its lp size is the LP it would have solved.
+# (0 iterations, 0 ms, 0 LP columns); its lp size is the LP it would have
+# solved. "lp cols" counts the columns of the LP a round did solve, which can
+# be fewer than its pairs: every LP holds only the pairs round 1 keeps, and
+# round 1's LP only those at or above its bottleneck level.
 # Frozen payments never decrease from round to round.
 import random
 
@@ -28,10 +31,10 @@ scenario = Scenario(providers=providers, requests=requests)
 
 result = run_fass(scenario)
 print(f"{n_requests} requests over {n_providers} providers x 3 services\n")
-print("round  frozen  service   payment   lp size   iterations       solve")
+print("round  frozen  service   payment   lp size   lp cols   iterations       solve")
 for rec in result.trace.rounds:
     print(f"{rec.round_index:5d}  req {rec.request_id}   ({rec.provider_id},{rec.service_id})"
-          f"   {rec.payment:7.3f}   {rec.lp_vars:3d} x {rec.lp_rows:2d}"
+          f"   {rec.payment:7.3f}   {rec.lp_vars:3d} x {rec.lp_rows:2d}   {rec.lp_cols:7d}"
           f"   {rec.iterations:10d}   {rec.solve_ms:6.2f} ms")
 
 print(f"\nsorted payments: {tuple(round(p, 3) for p in result.payments.sorted_view)}")

@@ -28,7 +28,8 @@ only degenerate pivots and return it. Every round's record is read off
 its level grid, so a round that builds no LP still reports the LP it
 would have solved.
 
-Round 1 also fixes the columns that every round LP holds. With N
+Round 1 also fixes the columns that every round LP holds (the held
+columns, `_held_columns`). With N
 requests, a request keeps each column whose round-1 selected level is at
 least its N-th best level, or all of its columns if it has fewer than N;
 the starting matching's columns are kept too. The LPs are built on a
@@ -40,8 +41,24 @@ active requests hold at most N - k, so one is free; since rint(p / step)
 never falls as p rises, it sits on a level at least as high at any step,
 and moving the request there leaves the sorted levels no worse. Later warm
 starts are earlier LP selections, so they stay inside the kept set.
-Quantization, the reuse test and every record still read the full round;
-only the LP the solver sees shrinks.
+
+Round 1's own LP is cut further, at its bottleneck level tau: the highest
+level at which the held columns at or above it still assign every request
+(Garfinkel's bottleneck assignment). `_bottleneck_level` finds it by binary
+search over the distinct levels, between the starting matching's lowest
+level, which that matching shows feasible, and the lowest per-request best
+level, which it probes first; each probe extends the last feasible matching,
+cut to the probe's level, with augmenting paths. Round 1's LP holds the held
+columns at or above tau plus the starting matching's, so its crash basis is
+unchanged. The cut is exact: lex_cost_rows minimizes the count at the
+deepest level first, so the LP optimum is leximin-optimal over levels, and a
+matching at or above tau counts 0 below it, so every optimum has its lowest
+level at or above tau and lies inside the cut. Later rounds hold every held
+column: a later round can change its step, because effective_range_cap
+grows as the candidates shrink, and a column below round 1's tau can then
+tie at that round's bottom level, where nothing proves round 1's tau still
+holds. Quantization, the reuse test and every record except lp_cols still
+read the full round; only the LP the solver sees shrinks.
 """
 
 from __future__ import annotations
@@ -73,6 +90,7 @@ from .model import (
     AssignmentPlan,
     PaymentVector,
     Scenario,
+    _augment,
     check_feasible,
     payment_vector,
     saturating_matching,
@@ -105,10 +123,11 @@ class RoundRecord:
     provider_id: int
     service_id: int
     payment: float
-    # the round's candidate count; the solved LP holds only round 1's kept
-    # columns among them, so it can be smaller (the tracer's simplex.lp_cols_mean)
-    lp_vars: int
+    lp_vars: int  # the round's candidate count; the solved LP can hold fewer (lp_cols)
     lp_rows: int  # active requests plus the services their candidates use; the LP's can be fewer
+    # columns of the LP the round solved: the held columns among its candidates,
+    # in round 1 only those at or above its bottleneck level; 0 in a reused round
+    lp_cols: int
     lp_objective: float  # xi of the selection: the LP objective at it
     solve_ms: float  # the round solver's call; 0 in a reused round
     # simplex pivots of the round solve; 0 in a round that reuses the previous
@@ -190,6 +209,70 @@ def _held_columns(table: CandidateTable, levels: np.ndarray, warm: np.ndarray) -
     return None if keep.all() else keep.nonzero()[0]
 
 
+def _bottleneck_level(
+    request: np.ndarray, service: np.ndarray, levels: np.ndarray, warm: np.ndarray
+) -> int:
+    """Highest level at which the columns at or above it still match every request.
+
+    Column t joins request[t] (numbered 0..n-1) to service[t] at levels[t];
+    warm holds the columns of a matching that covers all n requests, so its
+    lowest level is feasible. No level above the lowest per-request best
+    level is, so a binary search over the distinct levels between the two
+    finds the answer; it probes that upper end first. Each probe starts
+    from the last feasible matching, cut to its edges at the probe's level,
+    and extends it with augmenting paths.
+    """
+    n = warm.size
+    order = np.lexsort((-levels, request))  # by request, best level first
+    counts = np.bincount(request, minlength=n)
+    starts = np.cumsum(counts) - counts
+    low, high = int(levels[warm].min()), int(levels[order[starts]].min())
+    if low == high:
+        return low
+    # each request's services, best first, so the columns at or above a level are a prefix
+    by_request = service[order].tolist()
+    pools = [by_request[start : start + k] for start, k in zip(starts.tolist(), counts.tolist())]
+    owner = dict(zip(service[warm].tolist(), request[warm].tolist()))  # the last feasible matching
+
+    def matches_at(level: int) -> bool:
+        nonlocal owner
+        reach = np.bincount(request[levels >= level], minlength=n).tolist()
+        cut = [pool[:k] for pool, k in zip(pools, reach)]
+        trial = {s: m for s, m in owner.items() if s in cut[m]}
+        unmatched = set(range(n)).difference(trial.values())
+        if all(_augment(m, cut, trial) for m in sorted(unmatched)):
+            owner = trial
+            return True
+        return False
+
+    if matches_at(high):
+        return high
+    steps = np.unique(levels[(levels >= low) & (levels <= high)]).tolist()  # low, ..., high
+    feasible, infeasible = 0, len(steps) - 1
+    while infeasible - feasible > 1:
+        middle = (feasible + infeasible) // 2
+        if matches_at(steps[middle]):
+            feasible = middle
+        else:
+            infeasible = middle
+    return steps[feasible]
+
+
+def _subset(
+    table: CandidateTable, kept: np.ndarray | None
+) -> tuple[CandidateTable, np.ndarray, np.ndarray] | None:
+    """The table of the kept columns, kept, and each table column's number there (-1 if dropped).
+
+    None when kept is None or every column.
+    """
+    if kept is None or kept.size == table.request.size:
+        return None
+    per_column = ("request", "provider", "service", "flat", "pay0", "pay1")
+    position = np.full(table.request.size, -1)
+    position[kept] = np.arange(kept.size)
+    return dataclasses.replace(table, **{f: getattr(table, f)[kept] for f in per_column}), kept, position
+
+
 # kept -> None to keep the warm selection, or the round's LP solver:
 # (lp, layout, warm selection as ascending columns of layout.table) -> optimal solution
 RoundSolver = Callable[[bool], Callable[[StandardLP, LambdaLayout, np.ndarray], LPSolution] | None]
@@ -198,8 +281,9 @@ RoundSolver = Callable[[bool], Callable[[StandardLP, LambdaLayout, np.ndarray], 
 def run_fass(scenario: Scenario, config: FassConfig | None = None) -> FassResult:
     """Compute the max-min fair assignment; returns (plan, payments, trace).
 
-    Rounds run the warm-started simplex over round 1's kept columns (see
-    the module docstring), except a round that kept the previous round's
+    Rounds run the warm-started simplex over round 1's held columns, round 1
+    only over those at or above its bottleneck level (see the module
+    docstring), except a round that kept the previous round's
     quantization step: it takes the previous selection as it stands, builds
     no LP, and its record shows 0 iterations, solve_ms, pricing_ms and
     pivot_ms.
@@ -215,10 +299,11 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
     solve_round(kept), kept being whether the round's effective step equals
     the previous round's, names the round's LP solver, or None to keep the
     previous selection without building the LP. The solver gets the LP over
-    round 1's kept columns, its layout and the warm start, both numbered in
-    that LP's own candidate table, which is the full table when nothing was
-    pruned. A solution that is not optimal is an invariant violation,
-    because a saturating matching exists.
+    the held columns (round 1's over those at or above its bottleneck
+    level), its layout and the warm start, both numbered in that LP's own
+    candidate table, which is the full table when nothing was pruned. A
+    solution that is not optimal is an invariant violation, because a
+    saturating matching exists.
     """
     if scenario.num_requests == 0:
         raise ValueError("scenario has no requests")
@@ -244,13 +329,15 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
         cap = effective_range_cap(config.range_cap, n_candidates, config.k_base)
         quant = quantize(table, active, config.step, cap, excluded_services=removed)
         columns, levels = quant.grid.columns, quant.grid.levels[:, 1]
-        if round_index == 1:  # the LPs hold only these columns: see the module docstring
-            held, lp_table = _held_columns(table, levels, warm), table
-            if held is not None:
-                per_column = ("request", "provider", "service", "flat", "pay0", "pay1")
-                lp_table = dataclasses.replace(table, **{f: getattr(table, f)[held] for f in per_column})
-                position = np.full(table.request.size, -1)  # table column -> lp_table column
-                position[held] = np.arange(held.size)
+        if round_index == 1:  # the columns the LPs hold: see the module docstring
+            held = _held_columns(table, levels, warm)
+            pool = np.arange(levels.size) if held is None else held
+            pool_levels, pool_warm = levels[pool], np.searchsorted(pool, warm)
+            tau = _bottleneck_level(table.request[pool], table.flat[pool], pool_levels, pool_warm)
+            cut = pool_levels >= tau  # round 1's LP: the held columns at or above tau, and warm's
+            cut[pool_warm] = True
+            later = _subset(table, held)  # the later rounds' LP table
+            subsets = (later if cut.all() else _subset(table, pool[cut]), later)
         solver = solve_round(quant.step == prev_step)
 
         if solver is None:  # the warm selection is the round's optimum: see the module docstring
@@ -258,10 +345,12 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
             if not np.array_equal(columns[at], warm):
                 raise InvariantError("warm start selects a column outside the round")
             chosen = warm
-            iterations, solve_ms, pricing_ms, pivot_ms, integrality_gap = 0, 0.0, 0.0, 0.0, 0.0
+            lp_cols, iterations, solve_ms, pricing_ms, pivot_ms, integrality_gap = 0, 0, 0.0, 0.0, 0.0, 0.0
         else:
-            lp_quant, lp_warm = quant, warm
-            if held is not None:  # the same grid and warm start, on lp_table's column numbers
+            lp_table, lp_quant, lp_warm = table, quant, warm
+            subset = subsets[round_index > 1]
+            if subset is not None:  # the same grid and warm start, on lp_table's column numbers
+                lp_table, kept, position = subset
                 mapped = position[columns]
                 inside = mapped >= 0
                 grid = LevelGrid(lp_table, mapped[inside], quant.grid.levels[inside])
@@ -279,11 +368,12 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
             if solution.status != "optimal":
                 # a saturating matching exists, so the LP cannot be infeasible or unbounded
                 raise InvariantError(f"round {round_index} LP came back {solution.status}")
+            lp_cols = layout.num_triples
             iterations, pricing_ms, pivot_ms = solution.iterations, solution.pricing_ms, solution.pivot_ms
             x_block = solution.values[: layout.num_triples]
             chosen = layout.columns[np.rint(x_block) == 1]
-            if held is not None:
-                chosen = held[chosen]
+            if subset is not None:
+                chosen = kept[chosen]
             at = np.searchsorted(columns, chosen)
             integrality_gap = float(np.max(np.abs(x_block - np.rint(x_block))))
             round_to_plan(solution, layout, frozen)  # one service per request, none frozen
@@ -314,6 +404,7 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
                 payment=payments[n_star],
                 lp_vars=columns.size,
                 lp_rows=len(active) + int(np.count_nonzero(np.bincount(table.flat[columns]))),
+                lp_cols=lp_cols,
                 lp_objective=float(level_objective(levels, K) @ selected.astype(float)),
                 solve_ms=solve_ms,
                 iterations=iterations,

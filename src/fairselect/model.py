@@ -280,13 +280,46 @@ def lex_compare(u: Sequence[float], v: Sequence[float]) -> int:
     return 0
 
 
+def _augment(root: int, pools: Sequence[Sequence], owner: dict) -> bool:
+    """Extend the matching owner (key -> request) to the unmatched request root.
+
+    One depth-first augmenting-path search from root, trying each request
+    n's keys in pools[n] order. On success the keys along the path change
+    hands and root owns one; on failure owner is unchanged. The path is
+    kept on an explicit stack, so long augmenting chains cannot exhaust the
+    recursion limit.
+    """
+    visited = set()
+    # stack[d] = (request at depth d, its untried pool); keys[d] is the
+    # taken key that led from depth d to depth d + 1
+    stack = [(root, iter(pools[root]))]
+    keys = []
+    while stack:
+        n, pool = stack[-1]
+        for key in pool:
+            if key in visited:
+                continue
+            visited.add(key)
+            if key not in owner:
+                owner[key] = n
+                for (m, _), taken in zip(stack, keys):
+                    owner[taken] = m
+                return True
+            keys.append(key)
+            stack.append((owner[key], iter(pools[owner[key]])))
+            break
+        else:
+            stack.pop()
+            if keys:
+                keys.pop()
+    return False
+
+
 def saturating_matching(scenario: Scenario) -> dict[int, tuple[int, int]] | None:
     """Find a request -> service matching covering all requests, or None.
 
     Augmenting-path search over the authorization bipartite graph.
-    Deterministic: requests and pools are visited in index order. The
-    depth-first search keeps its path on an explicit stack, so long
-    augmenting chains cannot exhaust the recursion limit.
+    Deterministic: requests and pools are visited in index order.
     """
     # each provider's keys are built once; a request's pool is
     # candidate_pool's order: its providers ascending, then service index
@@ -295,35 +328,8 @@ def saturating_matching(scenario: Scenario) -> dict[int, tuple[int, int]] | None
         [key for i in sorted(req.allowed_providers) for key in offered[i]] for req in scenario.requests
     ]
     owner: dict[tuple[int, int], int] = {}
-
-    def try_assign(root: int) -> bool:
-        visited: set[tuple[int, int]] = set()
-        # stack[d] = (request at depth d, its untried pool); keys[d] is the
-        # taken service that led from depth d to depth d + 1
-        stack = [(root, iter(pools[root]))]
-        keys: list[tuple[int, int]] = []
-        while stack:
-            n, pool = stack[-1]
-            for key in pool:
-                if key in visited:
-                    continue
-                visited.add(key)
-                if key not in owner:
-                    owner[key] = n
-                    for (m, _), taken in zip(stack, keys):
-                        owner[taken] = m
-                    return True
-                keys.append(key)
-                stack.append((owner[key], iter(pools[owner[key]])))
-                break
-            else:
-                stack.pop()
-                if keys:
-                    keys.pop()
-        return False
-
     for n in range(scenario.num_requests):
-        if not try_assign(n):
+        if not _augment(n, pools, owner):
             return None
     return {n: key for key, n in owner.items()}
 

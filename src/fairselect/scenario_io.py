@@ -38,9 +38,9 @@ SCENARIO_VERSION = 1
 
 PLAN_CSV_HEADER = ["request_id", "provider_id", "service_id", "qos", "payment"]
 TRACE_CSV_HEADER = [
-    "round", "request", "provider", "service", "payment", "lp_vars", "lp_rows", "solve_ms",
-    "iterations", "step", "doublings", "levels", "K", "pricing_ms", "pivot_ms", "lp_objective",
-    "max_integrality_gap",
+    "round", "request", "provider", "service", "payment", "lp_vars", "lp_rows", "lp_cols",
+    "solve_ms", "iterations", "step", "doublings", "levels", "K", "pricing_ms", "pivot_ms",
+    "lp_objective", "max_integrality_gap",
 ]
 
 BASE_SHARE = 0.6
@@ -414,6 +414,7 @@ def trace_to_csv(trace: FassTrace) -> str:
                 repr(r.payment),
                 r.lp_vars,
                 r.lp_rows,
+                r.lp_cols,
                 f"{r.solve_ms:.3f}",
                 r.iterations,
                 repr(r.step),

@@ -1,6 +1,8 @@
 """End-to-end engine tests: worked examples, invariants, oracle agreement."""
 
+import collections
 import dataclasses
+import itertools
 import math
 import random
 
@@ -24,7 +26,7 @@ from fairselect import (
 )
 import fairselect.fass as fass_module
 from fairselect.fass import select_min_payment_request
-from fairselect.lex_transform import candidate_triples, round_to_plan
+from fairselect.lex_transform import candidate_table, candidate_triples, round_to_plan
 
 from conftest import (
     feasible_scenarios,
@@ -181,6 +183,26 @@ def test_round_records_carry_simplex_timings(monkeypatch):
     assert pivoted > 0.0
 
 
+def test_round_records_carry_the_solved_lp_width(monkeypatch):
+    # lp_cols is the k-th solve call's column count in the k-th solved round, 0 elsewhere
+    seen = []
+
+    def counting_solve(lp, **kwargs):
+        seen.append(lp.num_vars)
+        return solve(lp, **kwargs)
+
+    monkeypatch.setattr(fass_module, "solve", counting_solve)
+    narrowed = 0
+    for scenario in _confirmation_scenarios():
+        seen.clear()
+        rounds = run_fass(scenario).trace.rounds
+        assert [r.lp_cols for r in _solved(rounds)] == seen
+        assert all(r.lp_cols == 0 for r in rounds if r.solve_ms == 0)
+        assert all(r.lp_cols <= r.lp_vars for r in rounds)
+        narrowed += rounds[0].lp_cols < rounds[0].lp_vars
+    assert narrowed > 0
+
+
 def _confirmation_scenarios():
     forty = generate_scenario(
         synthetic_qos_matrix(seed=0), n_requests=40, n_providers=9, pool_size=10,
@@ -194,9 +216,10 @@ def _confirmation_scenarios():
 
 
 def test_confirmed_rounds_match_the_simplex():
-    # the reference solves every round, reused or not, with the warm simplex
+    # the reference solves every round, reused or not, with the warm simplex;
+    # a reused round records 0 for its work, lp_cols included
     reused = 0
-    untimed = {"iterations": 0, "pricing_ms": 0.0, "pivot_ms": 0.0, "solve_ms": 0.0}
+    untimed = {"iterations": 0, "pricing_ms": 0.0, "pivot_ms": 0.0, "solve_ms": 0.0, "lp_cols": 0}
     for scenario in _confirmation_scenarios():
         fast = run_fass(scenario)
         reference = fass_module.freeze_rounds(scenario, FassConfig(), lambda kept: fass_module._warm_simplex)
@@ -258,8 +281,9 @@ def test_reused_rounds_build_no_lp(monkeypatch):
 
 
 def test_pruned_round_lps_keep_the_full_optimum(monkeypatch):
-    # every solved round's LP, over the kept columns only, reaches the same
-    # sorted selected levels as the round's full LP from the same warm start
+    # every solved round's LP, over the held columns only (round 1's over those
+    # at or above its bottleneck level), reaches the same sorted selected
+    # levels as the round's full LP from the same warm start
     ladder = generate_scenario(
         synthetic_qos_matrix(seed=0), n_requests=10, n_providers=9, pool_size=50,
         constraint_density=1.0, pricing_level=4, seed=1,
@@ -289,25 +313,82 @@ def test_pruned_round_lps_keep_the_full_optimum(monkeypatch):
             full_lp, full = build_reduced_subproblem_lp(scenario, frozen, active, quant)
             position = {t: k for k, t in enumerate(full.triples)}
             full_warm = full.columns[[position[t] for t in layout.table.triples(warm)]]
-            if len(frozen) == 0:
-                first.append((full.num_triples, layout))
             reference = fass_module._warm_simplex(full_lp, full, full_warm)
             assert selected_levels(layout, solution) == selected_levels(full, reference)
+            if len(frozen) == 0:  # round 1, with its optimum's lowest level: the bottleneck
+                first.append((full.num_triples, layout, quant, selected_levels(full, reference)[0]))
             compared += 1
             return solution
 
         return None if kept else checked
 
+    forty = generate_scenario(
+        synthetic_qos_matrix(seed=0), n_requests=40, n_providers=9, pool_size=10,
+        constraint_density=0.5, pricing_level=4, seed=2,
+    )
     compared = 0
-    scenarios = [*_confirmation_scenarios(), ladder]
+    scenarios = [*_confirmation_scenarios(), ladder, forty]
+    widths = []  # round 1's candidates, LP columns and held columns
     for scenario in scenarios:
         first = []
         fass_module.freeze_rounds(scenario, FassConfig(), solve_round)
+        # round 1's LP holds the held columns at or above the bottleneck, and the warm ones
+        candidates, layout, quant, bottleneck = first[0]
+        table, levels = candidate_table(scenario), quant.grid.levels[:, 1]
+        start = fass_module.saturating_matching(scenario)
+        matched = np.array([table.pool_start[i] + j for _, (i, j) in sorted(start.items())])
+        warm = np.flatnonzero(table.flat == matched[table.request])
+        held = fass_module._held_columns(table, levels, warm)
+        held = np.arange(candidates) if held is None else held
+        assert layout.num_triples == np.union1d(held[levels[held] >= bottleneck], warm).size
+        assert {(n, i, j) for n, (i, j) in start.items()} <= set(layout.triples)
+        widths.append((candidates, layout.num_triples, held.size))
     assert compared > len(scenarios)
-    candidates, layout = first[0]  # the ladder draw's round 1
-    assert layout.num_triples < candidates == 4500
-    start = fass_module.saturating_matching(ladder)
-    assert {(n, i, j) for n, (i, j) in start.items()} <= set(layout.triples)
+    (ladder_candidates, ladder_columns, _), (_, forty_columns, forty_held) = widths[-2:]
+    assert ladder_columns < ladder_candidates == 4500  # the held columns alone
+    assert forty_columns < forty_held  # the cut below the bottleneck too
+
+
+def _level_graph(rng):
+    """A small random bipartite graph with levels, as columns, and its saturating matchings.
+
+    Columns run by request, then service, as a candidate table's do; each
+    matching lists its columns in request order.
+    """
+    while True:
+        n, services = rng.randint(1, 4), rng.randint(1, 5)
+        edges = [(r, s) for r in range(n) for s in range(services) if rng.random() < 0.6]
+        column = {edge: t for t, edge in enumerate(edges)}
+        matchings = [
+            [column[r, s] for r, s in enumerate(chosen)]
+            for chosen in itertools.permutations(range(services), n)
+            if all((r, s) in column for r, s in enumerate(chosen))
+        ]
+        if matchings:
+            depth = rng.choice((0, 1, 3, 6))
+            levels = np.array([-rng.randint(0, depth) for _ in edges])
+            request, service = (np.array(side) for side in zip(*edges))
+            return request, service, levels, matchings
+
+
+def test_bottleneck_level_matches_brute_force():
+    # the bottleneck level is the largest lowest level of any saturating matching
+    rng = random.Random(15)
+    cases = collections.Counter()
+    for _ in range(400):
+        request, service, levels, matchings = _level_graph(rng)
+        warm = np.array(rng.choice(matchings))
+        expected = max(levels[m].min() for m in matchings)
+        assert fass_module._bottleneck_level(request, service, levels, warm) == expected
+        n = warm.size
+        low, high = levels[warm].min(), min(levels[request == r].max() for r in range(n))
+        cases["one request"] += n == 1
+        cases["low is high"] += low == high
+        cases["one level"] += np.unique(levels).size == 1
+        # the first probe starts from the part of warm at or above high
+        cases["partial start"] += 0 < np.count_nonzero(levels[warm] >= high) < n
+        cases["between the ends"] += low < expected < high
+    assert len(cases) == 5 and min(cases.values()) > 0, cases
 
 
 def test_range_cap_counts_each_rounds_candidates(monkeypatch):

@@ -1,5 +1,6 @@
 """Payment arithmetic, plan feasibility checks, and vector comparison."""
 
+import itertools
 import math
 import random
 
@@ -23,6 +24,7 @@ from fairselect import (
     saturating_matching,
     total_revenue,
 )
+from fairselect.model import _augment
 from conftest import make_scenario, random_scenario, two_request_scenario
 
 
@@ -246,3 +248,35 @@ def test_saturating_matching_survives_a_long_augmenting_chain():
     matching = saturating_matching(scenario)
     assert matching is not None and len(matching) == n
     assert check_feasible(AssignmentPlan(matching), scenario) == []
+
+
+def test_augmenting_paths_extend_any_partial_matching():
+    # from any matching, augmenting paths reach one that covers every request
+    # exactly when one exists; a failed search leaves the matching as it was
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(300):
+        n, services = rng.randint(1, 5), rng.randint(1, 5)
+        pools = [[s for s in range(services) if rng.random() < 0.5] for _ in range(n)]
+        owner = {}
+        for r in rng.sample(range(n), rng.randint(0, n)):
+            free = [s for s in pools[r] if s not in owner]
+            if free:
+                owner[rng.choice(free)] = r
+        exists = any(
+            all(s in pools[r] for r, s in enumerate(chosen))
+            for chosen in itertools.permutations(range(services), n)
+        )
+        started, covered = bool(owner), True
+        for r in sorted(set(range(n)) - set(owner.values())):
+            before = dict(owner)
+            if not _augment(r, pools, owner):
+                assert owner == before
+                covered = False
+                break
+        assert covered == exists
+        assert all(s in pools[r] for s, r in owner.items())
+        if covered:
+            assert sorted(owner.values()) == list(range(n))
+        outcomes.add((covered, started))
+    assert len(outcomes) == 4

@@ -243,6 +243,14 @@ def test_trace_csv_iterations_column():
     assert [int(row[column]) for row in rows] == [r.iterations for r in result.trace.rounds]
 
 
+def test_trace_csv_lp_cols_column():
+    result = run_fass(two_request_scenario())
+    column = TRACE_CSV_HEADER.index("lp_cols")
+    assert TRACE_CSV_HEADER[column - 2 : column + 2] == ["lp_vars", "lp_rows", "lp_cols", "solve_ms"]
+    rows = [line.split(",") for line in trace_to_csv(result.trace).splitlines()[1:]]
+    assert [int(row[column]) for row in rows] == [r.lp_cols for r in result.trace.rounds]
+
+
 def test_trace_csv_timing_columns():
     result = run_fass(two_request_scenario())
     column = TRACE_CSV_HEADER.index("pricing_ms")
