@@ -4,8 +4,8 @@
 # round's quantization step reuses the previous selection and builds no LP
 # (0 iterations, 0 ms, 0 LP columns); its lp size is the LP it would have
 # solved. "lp cols" counts the columns of the LP a round did solve, which can
-# be fewer than its pairs: every LP holds only the pairs round 1 keeps, and
-# round 1's LP only those at or above its bottleneck level.
+# be fewer than its pairs: each LP holds only the round's pairs at or above
+# its bottleneck level, plus the warm selection.
 # Frozen payments never decrease from round to round.
 import random
 

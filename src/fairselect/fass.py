@@ -28,36 +28,19 @@ only degenerate pivots and return it. Every round's record is read off
 its level grid, so a round that builds no LP still reports the LP it
 would have solved.
 
-Round 1 also fixes the columns that every round LP holds (the held
-columns, `_held_columns`). With N
-requests, a request keeps each column whose round-1 selected level is at
-least its N-th best level, or all of its columns if it has fewer than N;
-the starting matching's columns are kept too. The LPs are built on a
-candidate table of the kept columns alone, and no round's optimum changes:
-a dropped column has N columns of its own request on strictly higher
-round-1 levels, so on N distinct services that pay strictly more. In
-round k at most k - 1 of those services are frozen and the other N - k
-active requests hold at most N - k, so one is free; since rint(p / step)
-never falls as p rises, it sits on a level at least as high at any step,
-and moving the request there leaves the sorted levels no worse. Later warm
-starts are earlier LP selections, so they stay inside the kept set.
-
-Round 1's own LP is cut further, at its bottleneck level tau: the highest
-level at which the held columns at or above it still assign every request
-(Garfinkel's bottleneck assignment). `_bottleneck_level` finds it by binary
-search over the distinct levels, between the starting matching's lowest
-level, which that matching shows feasible, and the lowest per-request best
-level, which it probes first; each probe extends the last feasible matching,
-cut to the probe's level, with augmenting paths. Round 1's LP holds the held
-columns at or above tau plus the starting matching's, so its crash basis is
-unchanged. The cut is exact: lex_cost_rows minimizes the count at the
-deepest level first, so the LP optimum is leximin-optimal over levels, and a
-matching at or above tau counts 0 below it, so every optimum has its lowest
-level at or above tau and lies inside the cut. Later rounds hold every held
-column: a later round can change its step, because effective_range_cap
-grows as the candidates shrink, and a column below round 1's tau can then
-tie at that round's bottom level, where nothing proves round 1's tau still
-holds. Quantization, the reuse test and every record except lp_cols still
+Every round that solves an LP cuts it at the round's bottleneck level tau:
+the highest level at which the round's columns at or above it still assign
+every active request (Garfinkel's bottleneck assignment). `_bottleneck_level`
+finds it by binary search over the distinct levels, between the warm
+selection's lowest level, which that selection shows feasible, and the
+lowest per-request best level, which it probes first; each probe extends
+the last feasible matching, cut to the probe's level, with augmenting
+paths. The LP holds the columns at or above tau plus the warm selection's,
+so its crash basis is unchanged. The cut is exact: lex_cost_rows minimizes
+the count at the deepest level first, so the LP optimum is leximin-optimal
+over levels, and a matching at or above tau counts 0 below it, so every
+optimum has its lowest level at or above tau and lies inside the cut.
+Quantization, the reuse test and every record except lp_cols still
 read the full round; only the LP the solver sees shrinks.
 """
 
@@ -73,7 +56,6 @@ import numpy as np
 
 from .errors import InfeasibleError, InvariantError
 from .lex_transform import (
-    CandidateTable,
     LambdaLayout,
     LevelGrid,
     build_reduced_subproblem_lp,
@@ -125,8 +107,8 @@ class RoundRecord:
     payment: float
     lp_vars: int  # the round's candidate count; the solved LP can hold fewer (lp_cols)
     lp_rows: int  # active requests plus the services their candidates use; the LP's can be fewer
-    # columns of the LP the round solved: the held columns among its candidates,
-    # in round 1 only those at or above its bottleneck level; 0 in a reused round
+    # columns of the LP the round solved: its candidates at or above its
+    # bottleneck level, and the warm selection's; 0 in a reused round
     lp_cols: int
     lp_objective: float  # xi of the selection: the LP objective at it
     solve_ms: float  # the round solver's call; 0 in a reused round
@@ -190,25 +172,6 @@ def _warm_simplex(lp: StandardLP, layout: LambdaLayout, warm: np.ndarray) -> LPS
     )
 
 
-def _held_columns(table: CandidateTable, levels: np.ndarray, warm: np.ndarray) -> np.ndarray | None:
-    """Ascending table columns the round LPs hold, or None when that is every column.
-
-    levels are round 1's selected levels of every table column. With N
-    requests, a request keeps its columns at or above its N-th best level,
-    or all of them if it has fewer than N, and warm's columns are kept too.
-    """
-    n = table.num_requests
-    counts = np.bincount(table.request, minlength=n)
-    if counts.max() <= n:
-        return None
-    # columns run by request, so this sort keeps each request's block in place, best level first
-    best_first = levels[np.lexsort((-levels, table.request))]
-    nth = best_first[np.minimum(np.cumsum(counts) - counts + n - 1, levels.size - 1)]
-    keep = (levels >= nth[table.request]) | (counts < n)[table.request]
-    keep[warm] = True
-    return None if keep.all() else keep.nonzero()[0]
-
-
 def _bottleneck_level(
     request: np.ndarray, service: np.ndarray, levels: np.ndarray, warm: np.ndarray
 ) -> int:
@@ -258,20 +221,7 @@ def _bottleneck_level(
     return steps[feasible]
 
 
-def _subset(
-    table: CandidateTable, kept: np.ndarray | None
-) -> tuple[CandidateTable, np.ndarray, np.ndarray] | None:
-    """The table of the kept columns, kept, and each table column's number there (-1 if dropped).
-
-    None when kept is None or every column.
-    """
-    if kept is None or kept.size == table.request.size:
-        return None
-    per_column = ("request", "provider", "service", "flat", "pay0", "pay1")
-    position = np.full(table.request.size, -1)
-    position[kept] = np.arange(kept.size)
-    return dataclasses.replace(table, **{f: getattr(table, f)[kept] for f in per_column}), kept, position
-
+_PER_COLUMN = ("request", "provider", "service", "flat", "pay0", "pay1")  # CandidateTable's column fields
 
 # kept -> None to keep the warm selection, or the round's LP solver:
 # (lp, layout, warm selection as ascending columns of layout.table) -> optimal solution
@@ -281,12 +231,11 @@ RoundSolver = Callable[[bool], Callable[[StandardLP, LambdaLayout, np.ndarray], 
 def run_fass(scenario: Scenario, config: FassConfig | None = None) -> FassResult:
     """Compute the max-min fair assignment; returns (plan, payments, trace).
 
-    Rounds run the warm-started simplex over round 1's held columns, round 1
-    only over those at or above its bottleneck level (see the module
-    docstring), except a round that kept the previous round's
-    quantization step: it takes the previous selection as it stands, builds
-    no LP, and its record shows 0 iterations, solve_ms, pricing_ms and
-    pivot_ms.
+    Rounds run the warm-started simplex over their columns at or above
+    their bottleneck level (see the module docstring), except a round that
+    kept the previous round's quantization step: it takes the previous
+    selection as it stands, builds no LP, and its record shows 0
+    iterations, solve_ms, pricing_ms and pivot_ms.
     """
     return freeze_rounds(
         scenario, config or FassConfig(), lambda kept: None if kept else _warm_simplex
@@ -299,11 +248,11 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
     solve_round(kept), kept being whether the round's effective step equals
     the previous round's, names the round's LP solver, or None to keep the
     previous selection without building the LP. The solver gets the LP over
-    the held columns (round 1's over those at or above its bottleneck
-    level), its layout and the warm start, both numbered in that LP's own
-    candidate table, which is the full table when nothing was pruned. A
-    solution that is not optimal is an invariant violation, because a
-    saturating matching exists.
+    the round's columns at or above its bottleneck level and the warm
+    selection's, its layout and the warm start, both numbered in that LP's
+    own candidate table, which holds just those columns. A solution that
+    is not optimal is an invariant violation, because a saturating
+    matching exists.
     """
     if scenario.num_requests == 0:
         raise ValueError("scenario has no requests")
@@ -329,41 +278,30 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
         cap = effective_range_cap(config.range_cap, n_candidates, config.k_base)
         quant = quantize(table, active, config.step, cap, excluded_services=removed)
         columns, levels = quant.grid.columns, quant.grid.levels[:, 1]
-        if round_index == 1:  # the columns the LPs hold: see the module docstring
-            held = _held_columns(table, levels, warm)
-            pool = np.arange(levels.size) if held is None else held
-            pool_levels, pool_warm = levels[pool], np.searchsorted(pool, warm)
-            tau = _bottleneck_level(table.request[pool], table.flat[pool], pool_levels, pool_warm)
-            cut = pool_levels >= tau  # round 1's LP: the held columns at or above tau, and warm's
-            cut[pool_warm] = True
-            later = _subset(table, held)  # the later rounds' LP table
-            subsets = (later if cut.all() else _subset(table, pool[cut]), later)
+        warm_at = np.minimum(np.searchsorted(columns, warm), columns.size - 1)
+        if not np.array_equal(columns[warm_at], warm):
+            raise InvariantError("warm start selects a column outside the round")
         solver = solve_round(quant.step == prev_step)
 
         if solver is None:  # the warm selection is the round's optimum: see the module docstring
-            at = np.minimum(np.searchsorted(columns, warm), columns.size - 1)
-            if not np.array_equal(columns[at], warm):
-                raise InvariantError("warm start selects a column outside the round")
             chosen = warm
             lp_cols, iterations, solve_ms, pricing_ms, pivot_ms, integrality_gap = 0, 0, 0.0, 0.0, 0.0, 0.0
         else:
-            lp_table, lp_quant, lp_warm = table, quant, warm
-            subset = subsets[round_index > 1]
-            if subset is not None:  # the same grid and warm start, on lp_table's column numbers
-                lp_table, kept, position = subset
-                mapped = position[columns]
-                inside = mapped >= 0
-                grid = LevelGrid(lp_table, mapped[inside], quant.grid.levels[inside])
-                lp_quant = dataclasses.replace(quant, grid=grid)
-                lp_warm = position[warm]
+            # the LP holds the columns at or above the round's bottleneck level, and warm's
+            rank = np.searchsorted(active, table.request[columns])  # active stays ascending
+            cut = levels >= _bottleneck_level(rank, table.flat[columns], levels, warm_at)
+            cut[warm_at] = True
+            lp_columns = columns[cut]
+            lp_table = dataclasses.replace(table, **{f: getattr(table, f)[lp_columns] for f in _PER_COLUMN})
+            grid = LevelGrid(lp_table, np.arange(lp_columns.size), quant.grid.levels[cut])
             lp, layout = build_reduced_subproblem_lp(
-                lp_table, frozen, active, lp_quant, k_override=config.k_base
+                lp_table, frozen, active, dataclasses.replace(quant, grid=grid), k_override=config.k_base
             )
             ok, bad_col = verify_row_partition(layout.block, layout.num_request_rows)
             if not ok:
                 raise InvariantError(f"selection rows lost their two-block structure at column {bad_col}")
             t0 = time.perf_counter()
-            solution = solver(lp, layout, lp_warm)
+            solution = solver(lp, layout, np.searchsorted(lp_columns, warm))
             solve_ms = (time.perf_counter() - t0) * 1000.0
             if solution.status != "optimal":
                 # a saturating matching exists, so the LP cannot be infeasible or unbounded
@@ -371,14 +309,12 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
             lp_cols = layout.num_triples
             iterations, pricing_ms, pivot_ms = solution.iterations, solution.pricing_ms, solution.pivot_ms
             x_block = solution.values[: layout.num_triples]
-            chosen = layout.columns[np.rint(x_block) == 1]
-            if subset is not None:
-                chosen = kept[chosen]
-            at = np.searchsorted(columns, chosen)
-            integrality_gap = float(np.max(np.abs(x_block - np.rint(x_block))))
+            rint = np.rint(x_block)
+            chosen = lp_columns[layout.columns[rint == 1]]
+            integrality_gap = float(np.max(np.abs(x_block - rint)))
             round_to_plan(solution, layout, frozen)  # one service per request, none frozen
         selected = np.zeros(columns.size, dtype=bool)
-        selected[at] = True
+        selected[np.searchsorted(columns, chosen)] = True
         payments = dict(zip(table.request[chosen].tolist(), table.pay1[chosen].tolist()))
         n_star = select_min_payment_request(payments)
         star = chosen[table.request[chosen] == n_star][0]

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from fairselect import synthetic_qos_matrix, write_scenario
 from fairselect.cli import main
@@ -377,3 +378,51 @@ def test_bad_numeric_arguments_exit_3(args, scenario_file, dataset_file, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    scenario, dataset = root / "two.json", root / "qos.txt"
+    write_scenario(two_request_scenario(), str(scenario))
+    dataset.write_text(matrix_to_text(synthetic_qos_matrix(seed=0)))
+    return str(scenario), str(dataset), str(root / "out")
+
+
+# sizes only small or invalid, so no drawn command runs long
+_SIZE = st.sampled_from(["-1", "0", "1", "2", "nan", "inf", "x"])
+_OPTIONS = {
+    "solve": ("--seed", "--step", "--range-cap"),
+    "oracle-check": ("--step", "--range-cap"),
+    "sweep": ("--levels", "--pool", "--density", "--seed"),
+    "bench": ("--seed",),
+    "gen": ("--n", "--m", "--pool", "--density", "--level", "--seed"),
+}
+_ALWAYS = {"sweep": ("--scenarios", "--runs"), "bench": ("--reps",)}  # their defaults run long
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_exit_codes_stay_in_the_contract(data, tiny_files):
+    scenario, dataset, out = tiny_files
+    command = data.draw(st.sampled_from(sorted(_OPTIONS)))
+    if command in ("solve", "oracle-check"):
+        argv = [command, scenario]
+    else:
+        argv = [command, "--dataset", dataset, "--out", out]
+    if command == "solve":
+        argv += ["--algo", data.draw(st.sampled_from(["fass", "revmax", "random"]))]
+    if command == "bench":
+        argv += ["--ladder", data.draw(st.sampled_from(["90", "0", "-1", "nan", "x", "", "90,x"]))]
+    for option in _ALWAYS.get(command, ()):
+        argv += [option, data.draw(_SIZE)]
+    for option in _OPTIONS[command]:
+        value = data.draw(st.none() | _SIZE)
+        if value is not None:
+            argv += [option, value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    event(f"{command} exits {code}")
+    assert code in (0, 2, 3, 4), argv

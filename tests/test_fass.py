@@ -8,6 +8,8 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from fairselect import (
     FassConfig,
@@ -18,15 +20,18 @@ from fairselect import (
     effective_range_cap,
     generate_scenario,
     ip_iterative,
+    load_plan_csv,
     payment_vector,
     quantize,
     run_fass,
     solve,
     synthetic_qos_matrix,
+    write_plan_csv,
+    write_trace_csv,
 )
 import fairselect.fass as fass_module
 from fairselect.fass import select_min_payment_request
-from fairselect.lex_transform import candidate_table, candidate_triples, round_to_plan
+from fairselect.lex_transform import candidate_triples, round_to_plan
 
 from conftest import (
     feasible_scenarios,
@@ -280,10 +285,25 @@ def test_reused_rounds_build_no_lp(monkeypatch):
         assert builds == scenario.num_requests
 
 
+def _brute_bottleneck(request, service, levels):
+    """Highest level whose columns at or above it match every request, trying each level."""
+    n = np.unique(request).size
+    for level in sorted(set(levels.tolist()), reverse=True):
+        at = levels >= level
+        _, rows = np.unique(request[at], return_inverse=True)
+        _, cols = np.unique(service[at], return_inverse=True)
+        if np.unique(rows).size < n:
+            continue
+        graph = scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)))
+        if np.all(maximum_bipartite_matching(graph, perm_type="column") >= 0):
+            return level
+    raise AssertionError("no level matches every request")
+
+
 def test_pruned_round_lps_keep_the_full_optimum(monkeypatch):
-    # every solved round's LP, over the held columns only (round 1's over those
-    # at or above its bottleneck level), reaches the same sorted selected
-    # levels as the round's full LP from the same warm start
+    # every solved round's LP holds exactly the round's columns at or above
+    # its bottleneck level and the warm ones, and reaches the same sorted
+    # selected levels as the round's full LP from the same warm start
     ladder = generate_scenario(
         synthetic_qos_matrix(seed=0), n_requests=10, n_providers=9, pool_size=50,
         constraint_density=1.0, pricing_level=4, seed=1,
@@ -307,7 +327,7 @@ def test_pruned_round_lps_keep_the_full_optimum(monkeypatch):
 
     def solve_round(kept):
         def checked(lp, layout, warm):
-            nonlocal compared
+            nonlocal compared, later
             solution = fass_module._warm_simplex(lp, layout, warm)
             frozen, active, quant = last["round"]
             full_lp, full = build_reduced_subproblem_lp(scenario, frozen, active, quant)
@@ -315,9 +335,14 @@ def test_pruned_round_lps_keep_the_full_optimum(monkeypatch):
             full_warm = full.columns[[position[t] for t in layout.table.triples(warm)]]
             reference = fass_module._warm_simplex(full_lp, full, full_warm)
             assert selected_levels(layout, solution) == selected_levels(full, reference)
-            if len(frozen) == 0:  # round 1, with its optimum's lowest level: the bottleneck
-                first.append((full.num_triples, layout, quant, selected_levels(full, reference)[0]))
+            table = full.table
+            tau = _brute_bottleneck(table.request[full.columns], table.flat[full.columns], full.levels)
+            assert tau == selected_levels(full, reference)[0]
+            assert layout.num_triples == np.union1d(full.columns[full.levels >= tau], full_warm).size
+            if len(frozen) == 0:
+                first.append((full.num_triples, layout))
             compared += 1
+            later += len(frozen) > 0
             return solution
 
         return None if kept else checked
@@ -326,27 +351,20 @@ def test_pruned_round_lps_keep_the_full_optimum(monkeypatch):
         synthetic_qos_matrix(seed=0), n_requests=40, n_providers=9, pool_size=10,
         constraint_density=0.5, pricing_level=4, seed=2,
     )
-    compared = 0
+    compared = later = 0
     scenarios = [*_confirmation_scenarios(), ladder, forty]
-    widths = []  # round 1's candidates, LP columns and held columns
+    widths = []  # round 1's candidates and LP columns
     for scenario in scenarios:
         first = []
         fass_module.freeze_rounds(scenario, FassConfig(), solve_round)
-        # round 1's LP holds the held columns at or above the bottleneck, and the warm ones
-        candidates, layout, quant, bottleneck = first[0]
-        table, levels = candidate_table(scenario), quant.grid.levels[:, 1]
+        candidates, layout = first[0]
         start = fass_module.saturating_matching(scenario)
-        matched = np.array([table.pool_start[i] + j for _, (i, j) in sorted(start.items())])
-        warm = np.flatnonzero(table.flat == matched[table.request])
-        held = fass_module._held_columns(table, levels, warm)
-        held = np.arange(candidates) if held is None else held
-        assert layout.num_triples == np.union1d(held[levels[held] >= bottleneck], warm).size
         assert {(n, i, j) for n, (i, j) in start.items()} <= set(layout.triples)
-        widths.append((candidates, layout.num_triples, held.size))
-    assert compared > len(scenarios)
-    (ladder_candidates, ladder_columns, _), (_, forty_columns, forty_held) = widths[-2:]
-    assert ladder_columns < ladder_candidates == 4500  # the held columns alone
-    assert forty_columns < forty_held  # the cut below the bottleneck too
+        widths.append((candidates, layout.num_triples))
+    assert compared > len(scenarios) and later > 0
+    (ladder_candidates, ladder_columns), (forty_candidates, forty_columns) = widths[-2:]
+    assert ladder_columns < ladder_candidates == 4500
+    assert forty_columns < forty_candidates
 
 
 def _level_graph(rng):
@@ -412,6 +430,26 @@ def test_plans_are_always_feasible_on_random_scenarios():
     for scenario in feasible_scenarios(random_scenario, 30, seed=2):
         result = run_fass(scenario)
         assert check_feasible(result.plan, scenario) == []
+
+
+def test_large_scenario_round_trips(tmp_path):
+    # N = 100 requests over 10 providers x 20 services, half of them authorized
+    scenario = generate_scenario(
+        synthetic_qos_matrix(seed=0), n_requests=100, n_providers=10, pool_size=20,
+        constraint_density=0.5, pricing_level=4, seed=11,
+    )
+    result = run_fass(scenario)
+    assert check_feasible(result.plan, scenario) == []
+    assert result.payments == payment_vector(result.plan, scenario)
+    plan_path, trace_path = tmp_path / "plan.csv", tmp_path / "trace.csv"
+    write_plan_csv(result.plan, scenario, str(plan_path))
+    assert load_plan_csv(str(plan_path)).choices == result.plan.choices
+    write_trace_csv(result.trace, str(trace_path))
+    assert len(trace_path.read_text().splitlines()) == 1 + 100
+    rounds = result.trace.rounds
+    assert len(rounds) == 100
+    for before, after in zip(rounds, rounds[1:]):
+        assert after.payment >= before.payment - max(before.step, after.step) - 1e-9
 
 
 def test_matches_exact_oracle_on_lattice_scenarios():
