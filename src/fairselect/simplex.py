@@ -28,10 +28,19 @@ simplex computes both in one vectorized pass over the cost block; after a
 pivot only the columns where the pivot row is nonzero can change, because
 every other cost entry becomes x - c * 0 == x, so only those columns are
 priced again (on the engine's larger round LPs a mean of a tenth to a
-fifth of them). Pivot selection defaults to Dantzig pricing (most
-negative reduced cost at the most significant deciding row, lowest index
-on ties) and switches permanently to Bland's rule for the remainder of a
-solve once a long degenerate streak is detected, so every solve
+fifth of them).
+
+Pivot selection defaults to exact steepest-edge pricing (Goldfarb & Reid,
+Math. Prog. 1977; Forrest & Goldfarb, Math. Prog. 1992): among the
+improving columns at the most significant deciding row, enter the one
+whose reduced cost per unit length of its edge, value_j / sqrt(w_j) with
+w_j = 1 + the sum over the constraint rows of T[i, j]^2, is most
+negative, lowest index on ties. The dense tableau holds every column of
+B^-1 A, so the weights need no update formula: each choice sums them for
+its own tied candidates only (on the engine's 40-request round LPs about
+a hundred of some 860 columns), and no weight is kept from one pivot to
+the next, so none can drift. A solve switches permanently to Bland's
+rule once a long degenerate streak is detected, so every solve
 terminates and is deterministic for a fixed input.
 """
 
@@ -209,7 +218,7 @@ class _Tableau:
         self.iterations = 0
         self.pricing_s = 0.0
         self.pivot_s = 0.0
-        self.rule = "dantzig"
+        self.rule = "steepest"
         self._degenerate_streak = 0
 
     def reduce_cost_row(self, which: int) -> None:
@@ -269,18 +278,23 @@ class _Tableau:
         """Entering column from each column's deciding level and value.
 
         A column is improving when its deciding value is below -price_tol;
-        a column with no deciding level never improves. Dantzig flavor: most
-        negative deciding value among the improving columns of the most
-        significant deciding level, lowest index on ties; Bland flavor:
-        lowest improving column index.
+        a column with no deciding level never improves. Steepest edge: among
+        the improving columns of the most significant deciding level, most
+        negative value / sqrt(1 + sum of squares of the column's constraint
+        entries), lowest index on ties; the lengths are read off the
+        tableau for those candidates alone. Bland: lowest improving column
+        index.
         """
         improving = value < -self.price_tol
         if not improving.any():
             return None
         if self.rule == "bland":
             return int(improving.argmax())
-        top = level[improving].min()
-        return int(np.argmin(np.where(improving & (level == top), value, np.inf)))
+        top = (improving & (level == level[improving].min())).nonzero()[0]
+        if top.size == 1:
+            return int(top[0])
+        lengths = np.sqrt(1.0 + np.square(self.T[: self.m, top]).sum(axis=0))
+        return int(top[np.argmin(value[top] / lengths)])
 
     def _leaving(self, col: int) -> int | None:
         column = self.T[: self.m, col]
@@ -364,7 +378,7 @@ def solve(
     lp: StandardLP,
     *,
     initial_basis: Sequence[int] | None = None,
-    pivot_rule: str = "dantzig",
+    pivot_rule: str = "steepest",
     max_iters: int | None = None,
     lex_costs: np.ndarray | None = None,
     lex_exact: bool = False,
@@ -387,8 +401,11 @@ def solve(
     integral (true for the selection rows this package builds), enabling
     exact zero/nonzero pricing thresholds; lp.objective is still what
     objective_value reports.
+
+    pivot_rule is "steepest" (steepest-edge pricing, the default) or
+    "bland" (lowest improving index from the first pivot).
     """
-    if pivot_rule not in ("dantzig", "bland"):
+    if pivot_rule not in ("steepest", "bland"):
         raise ValueError(f"unknown pivot rule {pivot_rule!r}")
     if lex_exact and lex_costs is None:
         raise ValueError("lex_exact requires lex_costs")

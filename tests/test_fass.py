@@ -71,8 +71,10 @@ def test_zero_bonus_cancels_every_level_row():
         pools=[[1.0, 2.0]],
         requests=[({0}, 1.0, 0.0, 1.0), ({0}, 2.0, 0.0, 1.0)],
     )
-    for result in (run_fass(scenario), ip_iterative(scenario)):
-        assert result.plan.choices == {0: (0, 1), 1: (0, 0)}
+    # every plan ties; ip_iterative's cold phase 1 stops at the other one
+    expected = [{0: (0, 1), 1: (0, 0)}, {0: (0, 0), 1: (0, 1)}]
+    for result, choices in zip((run_fass(scenario), ip_iterative(scenario)), expected):
+        assert result.plan.choices == choices
         assert result.payments.per_request == (1.0, 2.0)
 
 
@@ -472,13 +474,13 @@ def test_bland_pivoting_gives_same_payments():
         active = range(scenario.num_requests)
         lp, layout = build_reduced_subproblem_lp(scenario, {}, active, quantize(scenario, active))
         costs = layout.lex_cost_rows()
-        dantzig, bland = (
-            solve(lp, pivot_rule=rule, lex_costs=costs, lex_exact=True) for rule in ("dantzig", "bland")
+        steepest, bland = (
+            solve(lp, pivot_rule=rule, lex_costs=costs, lex_exact=True) for rule in ("steepest", "bland")
         )
-        assert np.array_equal(costs @ dantzig.values, costs @ bland.values)
+        assert np.array_equal(costs @ steepest.values, costs @ bland.values)
         payments = [
             payment_vector(round_to_plan(solution, layout, {}), scenario).sorted_view
-            for solution in (dantzig, bland)
+            for solution in (steepest, bland)
         ]
         assert np.allclose(payments[0], payments[1], atol=1e-12)
 
