@@ -6,16 +6,17 @@ payment at its chosen service and removes that service from every other
 pool. With N requests the engine runs exactly N rounds; frozen payments
 never decrease by more than one grid step between rounds.
 
-`freeze_rounds` is that loop with the round solver passed in. It builds
-the scenario's candidate table once; each round is the table's columns of
-the active requests on unfrozen services, and its payments, LP, crash
-basis and plan read-out are all indexed from those columns. `run_fass`
-hands it the simplex warm-started from a known feasible matching: round 1
-uses the feasibility check's matching, later rounds reuse the previous
-round's selection restricted to the surviving requests, which is always
-still feasible.
+`freeze_rounds` is that loop with the round solver passed in. Each round
+is its own CandidateTable: round 1's is the scenario's candidate table,
+and each freeze narrows it with `take` to the columns of the surviving
+requests on unfrozen services. A round's payments, base K, LP, crash
+basis and plan read-out are all indexed by positions in its table.
+`run_fass` hands it the simplex warm-started from a known feasible
+matching: round 1 uses the feasibility check's matching, later rounds
+reuse the previous round's selection restricted to the surviving
+requests, which is always still feasible.
 
-A later round's columns are a subset of the round before's. When a round
+A later round's table is a subset of the round before's. When a round
 keeps the previous round's effective step, each level is rint(p / step)
 minus the round's top level, so every surviving column's level moved by
 one common shift, and the previous selection restricted to the survivors
@@ -35,13 +36,14 @@ finds it by binary search over the distinct levels, between the warm
 selection's lowest level, which that selection shows feasible, and the
 lowest per-request best level, which it probes first; each probe extends
 the last feasible matching, cut to the probe's level, with augmenting
-paths. The LP holds the columns at or above tau plus the warm selection's,
-so its crash basis is unchanged. The cut is exact: lex_cost_rows minimizes
-the count at the deepest level first, so the LP optimum is leximin-optimal
-over levels, and a matching at or above tau counts 0 below it, so every
-optimum has its lowest level at or above tau and lies inside the cut.
-Quantization, the reuse test and every record except lp_cols still
-read the full round; only the LP the solver sees shrinks.
+paths. The LP's table is the round's, narrowed with `take` to the columns
+at or above tau plus the warm selection's, so its crash basis is
+unchanged. The cut is exact: lex_cost_rows minimizes the count at the
+deepest level first, so the LP optimum is leximin-optimal over levels,
+and a matching at or above tau counts 0 below it, so every optimum has
+its lowest level at or above tau and lies inside the cut. Quantization,
+the base K, the reuse test and every record except lp_cols read the
+round's whole table; only the columns the solver sees shrink.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class RoundRecord:
     step: float  # effective quantization step after doubling
     doublings: int  # times the requested step was doubled to fit the level range
     levels: int  # row count of the round's lex_cost_rows
-    K: int  # objective base
+    K: int  # objective base of the round, and of the LP it solves
     pricing_ms: float  # simplex time choosing entering columns; 0 in the same rounds
     pivot_ms: float  # simplex time in ratio tests and pivots; 0 in the same rounds
     max_integrality_gap: float  # worst |x - round(x)| over the selection block; 0 if reused
@@ -221,8 +223,6 @@ def _bottleneck_level(
     return steps[feasible]
 
 
-_PER_COLUMN = ("request", "provider", "service", "flat", "pay0", "pay1")  # CandidateTable's column fields
-
 # kept -> None to keep the warm selection, or the round's LP solver:
 # (lp, layout, warm selection as ascending columns of layout.table) -> optimal solution
 RoundSolver = Callable[[bool], Callable[[StandardLP, LambdaLayout, np.ndarray], LPSolution] | None]
@@ -260,7 +260,7 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
     if matching is None:
         raise InfeasibleError("no assignment can serve every request")
 
-    table = candidate_table(scenario)
+    table = candidate_table(scenario)  # round 1's: every candidate
     matched = np.full(scenario.num_requests, -1, dtype=np.int64)
     for n, (i, j) in matching.items():
         matched[n] = table.pool_start[i] + j
@@ -270,17 +270,14 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
     records: list[RoundRecord] = []
     prev_payment: float | None = None
     prev_step = 0.0
-    n_candidates = table.request.size  # round 1's columns: the whole table
     t_start = time.perf_counter()
 
     for round_index in range(1, scenario.num_requests + 1):
-        removed = list(frozen.values())
-        cap = effective_range_cap(config.range_cap, n_candidates, config.k_base)
-        quant = quantize(table, active, config.step, cap, excluded_services=removed)
-        columns, levels = quant.grid.columns, quant.grid.levels[:, 1]
-        warm_at = np.minimum(np.searchsorted(columns, warm), columns.size - 1)
-        if not np.array_equal(columns[warm_at], warm):
-            raise InvariantError("warm start selects a column outside the round")
+        width = table.request.size
+        K = objective_base(width, config.k_base)
+        cap = effective_range_cap(config.range_cap, width, config.k_base)
+        quant = quantize(table, active, config.step, cap)
+        levels = quant.grid.levels[:, 1]
         solver = solve_round(quant.step == prev_step)
 
         if solver is None:  # the warm selection is the round's optimum: see the module docstring
@@ -288,20 +285,19 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
             lp_cols, iterations, solve_ms, pricing_ms, pivot_ms, integrality_gap = 0, 0, 0.0, 0.0, 0.0, 0.0
         else:
             # the LP holds the columns at or above the round's bottleneck level, and warm's
-            rank = np.searchsorted(active, table.request[columns])  # active stays ascending
-            cut = levels >= _bottleneck_level(rank, table.flat[columns], levels, warm_at)
-            cut[warm_at] = True
-            lp_columns = columns[cut]
-            lp_table = dataclasses.replace(table, **{f: getattr(table, f)[lp_columns] for f in _PER_COLUMN})
-            grid = LevelGrid(lp_table, np.arange(lp_columns.size), quant.grid.levels[cut])
+            rank = np.searchsorted(active, table.request)  # active stays ascending
+            cut = levels >= _bottleneck_level(rank, table.flat, levels, warm)
+            cut[warm] = True
+            lp_table = table.take(cut)
+            grid = LevelGrid(lp_table, np.arange(lp_table.request.size), quant.grid.levels[cut])
             lp, layout = build_reduced_subproblem_lp(
-                lp_table, frozen, active, dataclasses.replace(quant, grid=grid), k_override=config.k_base
+                lp_table, frozen, active, dataclasses.replace(quant, grid=grid), k_override=K
             )
             ok, bad_col = verify_row_partition(layout.block, layout.num_request_rows)
             if not ok:
                 raise InvariantError(f"selection rows lost their two-block structure at column {bad_col}")
             t0 = time.perf_counter()
-            solution = solver(lp, layout, np.searchsorted(lp_columns, warm))
+            solution = solver(lp, layout, np.cumsum(cut)[warm] - 1)
             solve_ms = (time.perf_counter() - t0) * 1000.0
             if solution.status != "optimal":
                 # a saturating matching exists, so the LP cannot be infeasible or unbounded
@@ -310,11 +306,11 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
             iterations, pricing_ms, pivot_ms = solution.iterations, solution.pricing_ms, solution.pivot_ms
             x_block = solution.values[: layout.num_triples]
             rint = np.rint(x_block)
-            chosen = lp_columns[layout.columns[rint == 1]]
+            chosen = np.flatnonzero(cut)[layout.columns[rint == 1]]
             integrality_gap = float(np.max(np.abs(x_block - rint)))
             round_to_plan(solution, layout, frozen)  # one service per request, none frozen
-        selected = np.zeros(columns.size, dtype=bool)
-        selected[np.searchsorted(columns, chosen)] = True
+        selected = np.zeros(width, dtype=bool)
+        selected[chosen] = True
         payments = dict(zip(table.request[chosen].tolist(), table.pay1[chosen].tolist()))
         n_star = select_min_payment_request(payments)
         star = chosen[table.request[chosen] == n_star][0]
@@ -330,7 +326,6 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
         prev_payment = payments[n_star]
         prev_step = quant.step
 
-        K = objective_base(columns.size, config.k_base)
         records.append(
             RoundRecord(
                 round_index=round_index,
@@ -338,8 +333,8 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
                 provider_id=choice[0],
                 service_id=choice[1],
                 payment=payments[n_star],
-                lp_vars=columns.size,
-                lp_rows=len(active) + int(np.count_nonzero(np.bincount(table.flat[columns]))),
+                lp_vars=width,
+                lp_rows=len(active) + int(np.count_nonzero(np.bincount(table.flat))),
                 lp_cols=lp_cols,
                 lp_objective=float(level_objective(levels, K) @ selected.astype(float)),
                 solve_ms=solve_ms,
@@ -355,10 +350,10 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
         )
         frozen[n_star] = choice
         active.remove(n_star)
-        warm = chosen[table.request[chosen] != n_star]
-        # the next round's columns: this round's, less the frozen request's and service's
-        survives = (table.request[columns] != n_star) & (table.flat[columns] != table.flat[star])
-        n_candidates = int(np.count_nonzero(survives))
+        # the next round's table: this round's, less the frozen request's and service's columns
+        survives = (table.request != n_star) & (table.flat != table.flat[star])
+        warm = np.flatnonzero(selected[survives])
+        table = table.take(survives)
 
     plan = AssignmentPlan(frozen)
     violations = check_feasible(plan, scenario)

@@ -25,15 +25,16 @@ rows from LambdaLayout.lex_cost_rows, which order columns identically
 sum respect the level-wise lexicographic order) and stay exact.
 
 Every candidate pair of a scenario, with both of its payments, is one
-column of a CandidateTable, built once per solve. A round is an index
-array into that table: the columns of the still active requests on
-services nobody froze. Quantization, the constraint block (the entries of
-one request row and one capacity row per column, scattered into the
-tableau as they are), the row partition check (per-column counts over the
-entries) and the plan read-out all work on those arrays. The
-scenario-level functions (candidate_triples, quantize,
-build_reduced_subproblem_lp) accept a Scenario and build the table
-themselves, or take the engine's table.
+column of a CandidateTable, built once per solve. A round is its own
+table: the columns of the still active requests on services nobody froze,
+narrowed from the round before's with CandidateTable.take, and the LP a
+round solves is its table narrowed once more. Quantization, the
+constraint block (the entries of one request row and one capacity row per
+column, scattered into the tableau as they are), the row partition check
+(per-column counts over the entries) and the plan read-out all work on a
+table's arrays. The scenario-level functions (candidate_triples,
+quantize, build_reduced_subproblem_lp) accept a Scenario and build the
+table themselves, or take the engine's round table.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -119,6 +120,13 @@ class CandidateTable:
             free[removed] = False
             keep &= free[self.flat]
         return keep.nonzero()[0]
+
+    def take(self, columns: np.ndarray) -> CandidateTable:
+        """The table of just these columns, given as indices or a mask, in table order."""
+        keep = np.zeros(self.request.size, dtype=bool)
+        keep[columns] = True
+        per_column = ("request", "provider", "service", "flat", "pay0", "pay1")
+        return replace(self, **{name: getattr(self, name)[keep] for name in per_column})
 
     def triples(self, columns: np.ndarray) -> list[Triple]:
         return list(

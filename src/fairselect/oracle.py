@@ -45,20 +45,30 @@ def _choices(pools: Sequence[Collection[tuple[int, int]]], node_cap: int) -> Ite
     if math.prod(max(1, len(pool)) for pool in pools) > node_cap:
         raise ValueError(too_big)
     visited = 0
-
-    def walk(chosen: tuple) -> Iterator[tuple]:
-        nonlocal visited
-        if len(chosen) == len(pools):
-            yield chosen
-            return
-        for key in pools[len(chosen)]:
-            if key not in chosen:
-                visited += 1
-                if visited > node_cap:
-                    raise ValueError(too_big)
-                yield from walk(chosen + (key,))
-
-    yield from walk(())
+    # stack[d] holds pools[d]'s untried keys; chosen[d] is the key taken from pools[d].
+    # The walk keeps its path on an explicit stack, so many pools cannot exhaust the
+    # recursion limit
+    chosen: list = []
+    stack = [iter(pool) for pool in pools[:1]]
+    if not pools:
+        yield ()
+    while stack:
+        for key in stack[-1]:
+            if key in chosen:
+                continue
+            visited += 1
+            if visited > node_cap:
+                raise ValueError(too_big)
+            if len(chosen) + 1 == len(pools):
+                yield (*chosen, key)
+                continue
+            chosen.append(key)
+            stack.append(iter(pools[len(chosen)]))
+            break
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
 
 
 def enumerate_feasible(

@@ -15,7 +15,7 @@ import json
 import logging
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,17 +323,16 @@ def write_text(path: str, text: str) -> None:
     """Atomic text write: a unique temp file beside the target, then rename.
 
     The temp name is unique per call, so concurrent writers never share it;
-    a failed write removes its temp file. The result gets the permissions
-    a plain open() would give it (mkstemp creates files owner-only).
+    a failed write removes its temp file. The temp file is created with
+    mode 0o666, which the kernel masks with the umask, so the result gets
+    the permissions a plain open() would give it.
     """
     directory, name = os.path.split(path)
-    fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=f".{name}.", suffix=".tmp")
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -67,3 +67,49 @@ def test_traced_per_layer_metrics_are_strict_json(monkeypatch):
         assert runner.failed == 0, runner.problems
         assert metrics["simplex.iterations.fass"][0] > 0, name
         json.dumps({n: {"value": metrics[n][0], "unit": metrics[n][1]} for n in declared}, allow_nan=False)
+
+
+def test_traced_runs_see_every_engine_layer(monkeypatch):
+    # the tracer wraps engine functions at the names the engine looks them up
+    # by; a layer the engine stops calling there reads 0 calls under run_fass
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import measure
+    import run
+    import tracer as tracing
+    import workloads
+    from fairselect import baselines, fass, scenario_io
+
+    layers = (
+        "lex_transform.quantize",
+        "lex_transform.build_lp",
+        "lex_transform.verify",
+        "lex_transform.lex_cost_rows",
+        "lex_transform.round_to_plan",
+        "simplex.solve",
+        "model.saturating_matching",
+        "model.check_feasible",
+    )
+    # the wrapped names this program version does not have
+    absent = {
+        "baselines.saturating_matching",
+        "baselines.candidate_triples",
+        "baselines.quantize",
+        "baselines.build_reduced_subproblem_lp",
+        "baselines.round_to_plan",
+        "fass.candidate_triples",
+        "fass.assignment_block",
+        "lex_transform.assignment_payment",
+    }
+    matrix = scenario_io.synthetic_qos_matrix(seed=1)
+    for name, count in (("ladder4500", 2), ("rounds40", 2), ("small-oracle", 10)):
+        tracer = tracing.Tracer()
+        runner = run.Runner(tracer)
+        for k in range(count):
+            case = workloads.make_case(workloads.WORKLOADS[name], matrix, 1, k, tracer)
+            run.run_case(runner, case, measure, fass, baselines)
+        assert runner.failed == 0, runner.problems
+        summary = tracing.Summary(tracer)
+        calls = {layer: summary.calls(layer, "fass.run_fass") for layer in layers}
+        assert all(calls.values()), (name, calls)
+        missing = {owner.removeprefix("fairselect.") for owner in tracer.missing}
+        assert missing <= absent, (name, missing - absent)

@@ -31,7 +31,7 @@ from fairselect import (
 )
 import fairselect.fass as fass_module
 from fairselect.fass import select_min_payment_request
-from fairselect.lex_transform import candidate_triples, round_to_plan
+from fairselect.lex_transform import candidate_table, candidate_triples, round_to_plan
 
 from conftest import (
     feasible_scenarios,
@@ -426,6 +426,53 @@ def test_range_cap_counts_each_rounds_candidates(monkeypatch):
         counts.clear()
         rounds = run_fass(scenario).trace.rounds
         assert counts == [r.lp_vars for r in rounds]
+
+
+def test_each_round_quantizes_its_own_table(monkeypatch):
+    # a round's table is the scenario's candidate table restricted to the
+    # active requests on services nobody froze, in table order
+    seen = []
+    quantize_ = fass_module.quantize
+
+    def recording_quantize(table, active, *args, **kwargs):
+        seen.append((table, list(active)))
+        return quantize_(table, active, *args, **kwargs)
+
+    monkeypatch.setattr(fass_module, "quantize", recording_quantize)
+    fields = ("request", "provider", "service", "pay0", "pay1")
+    for scenario in _confirmation_scenarios():
+        seen.clear()
+        rounds = run_fass(scenario).trace.rounds
+        full = candidate_table(scenario)
+        frozen = {}
+        assert len(seen) == len(rounds)
+        for (table, active), record in zip(seen, rounds):
+            assert active == [n for n in range(scenario.num_requests) if n not in frozen]
+            columns = full.columns(active, frozen.values())
+            for field in fields:
+                assert np.array_equal(getattr(table, field), getattr(full, field)[columns]), field
+            frozen[record.request_id] = (record.provider_id, record.service_id)
+
+
+def test_solved_rounds_build_their_lp_on_the_rounds_base(monkeypatch):
+    # the LP a round solves and the record it writes share one objective
+    # base K, also when the bottleneck cut leaves the LP fewer columns
+    layouts = []
+    build = fass_module.build_reduced_subproblem_lp
+
+    def recording_build(*args, **kwargs):
+        lp, layout = build(*args, **kwargs)
+        layouts.append(layout)
+        return lp, layout
+
+    monkeypatch.setattr(fass_module, "build_reduced_subproblem_lp", recording_build)
+    narrowed = 0
+    for scenario in _confirmation_scenarios():
+        layouts.clear()
+        solved = [r for r in run_fass(scenario).trace.rounds if r.lp_cols > 0]
+        assert [layout.K for layout in layouts] == [r.K for r in solved]
+        narrowed += sum(layout.num_triples < r.lp_vars for layout, r in zip(layouts, solved))
+    assert narrowed > 0
 
 
 def test_plans_are_always_feasible_on_random_scenarios():

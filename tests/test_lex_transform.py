@@ -175,6 +175,16 @@ def test_candidate_triples_order_and_exclusion():
         candidate_triples(scenario, [9])
 
 
+def test_take_keeps_the_given_columns_in_table_order():
+    table = candidate_table(two_request_scenario())
+    by_index, by_mask = table.take([3, 0]), table.take(np.array([True, False, False, True]))
+    for part in (by_index, by_mask):
+        assert part.triples(np.arange(2)) == [(0, 0, 0), (1, 0, 1)]
+        assert np.array_equal(part.pay1, table.pay1[[0, 3]])
+        assert part.num_requests == 2 and part.num_services == 2
+    assert by_index.take([1]).triples(np.arange(1)) == [(1, 0, 1)]
+
+
 def test_reduced_lp_shape_and_offset():
     scenario = two_request_scenario()
     quant = quantize(scenario, [0, 1], step=0.01)

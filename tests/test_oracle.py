@@ -6,6 +6,7 @@ import pytest
 
 from fairselect import (
     InfeasibleError,
+    write_scenario,
     brute_force_mmf,
     brute_force_revenue,
     enumerate_feasible,
@@ -13,6 +14,7 @@ from fairselect import (
     payment_vector,
     total_revenue,
 )
+from fairselect.cli import main
 from fairselect.errors import NonFinitePaymentError
 
 from conftest import feasible_scenarios, make_scenario, random_scenario
@@ -147,3 +149,24 @@ def test_oracles_refuse_non_finite_payments(bonus):
         with pytest.raises(NonFinitePaymentError) as info:
             oracle(overflow)
         assert info.value.candidate == (0, 1, 0)
+
+
+def test_oracles_walk_many_pools_without_recursion(tmp_path, capsys):
+    # 1200 requests with one candidate each: request k authorizes only
+    # provider k, which holds one service. A walk that takes one stack frame
+    # per request passes the recursion limit here, though the pool sizes'
+    # product is 1
+    n = 1200
+    scenario = make_scenario(
+        pools=[[1.0 + k / n] for k in range(n)],
+        requests=[({k}, 1.0, 0.5, 1.5) for k in range(n)],
+    )
+    plan = {k: (k, 0) for k in range(n)}
+    assert [p.choices for p in enumerate_feasible(scenario)] == [plan]
+    report = brute_force_mmf(scenario)
+    assert report.feasible_count == 1
+    assert [p.choices for p in report.optimal_plans] == [plan]
+    path = tmp_path / "chain.json"
+    write_scenario(scenario, str(path))
+    assert main(["oracle-check", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("MATCH ")

@@ -275,3 +275,22 @@ def test_write_text_ignores_a_stray_temp_name(tmp_path):
         write_text(str(path), "\udc80")  # a failed write leaves no temp file behind
     assert path.read_text() == "c,d\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+
+
+def test_write_text_never_sets_the_umask(tmp_path, monkeypatch):
+    # reading the umask means setting it, which leaves a file that another
+    # thread creates meanwhile unmasked; the kernel masks the temp file instead
+    def refuse(mask):
+        raise AssertionError("write_text set the process umask")
+
+    path = tmp_path / "out.csv"
+    umask = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", refuse)
+            write_text(str(path), "a,b\n")
+    finally:
+        os.umask(umask)
+    assert path.read_text() == "a,b\n"
+    assert path.stat().st_mode & 0o777 == 0o666 & ~0o027
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
