@@ -6,7 +6,8 @@
 # solved. "lp cols" counts the columns of the LP a round did solve, which can
 # be fewer than its pairs: each LP holds only the round's pairs at or above
 # its bottleneck level, plus the warm selection.
-# Frozen payments never decrease from round to round.
+# A frozen payment can be lower than the one frozen before it, but never by
+# more than one grid step (the larger of the two rounds' steps).
 import random
 
 from fairselect import Request, Scenario, Service, brute_force_mmf, run_fass

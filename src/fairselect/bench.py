@@ -8,8 +8,6 @@ flows from named seeds so tables reproduce bit for bit.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import time
 from dataclasses import dataclass
@@ -21,7 +19,7 @@ from .baselines import ip_iterative, randomized_mean, revenue_max
 from .errors import InfeasibleError
 from .fass import run_fass
 from .model import PaymentVector, Scenario, payment_vector, total_revenue
-from .scenario_io import QosMatrix, generate_scenario, write_text
+from .scenario_io import QosMatrix, csv_text, generate_scenario, write_text
 
 log = logging.getLogger(__name__)
 
@@ -225,14 +223,13 @@ def fit_growth_exponent(rows: Iterable[TimingRow], algorithm: str = "fass") -> f
 
 
 def sweep_to_csv(rows: Iterable[SweepRow]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER)
-    for row in rows:
-        writer.writerow(
+    return csv_text(
+        SWEEP_CSV_HEADER,
+        (
             [row.level, row.algorithm, repr(row.mean_deviation), repr(row.mean_revenue), row.n_scenarios, row.seed]
-        )
-    return buffer.getvalue()
+            for row in rows
+        ),
+    )
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], path: str) -> None:
@@ -240,12 +237,7 @@ def write_sweep_csv(rows: Iterable[SweepRow], path: str) -> None:
 
 
 def timing_to_csv(rows: Iterable[TimingRow]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TIMING_CSV_HEADER)
-    for row in rows:
-        writer.writerow([row.vars, row.algorithm, f"{row.mean_ms:.3f}", row.reps])
-    return buffer.getvalue()
+    return csv_text(TIMING_CSV_HEADER, ([row.vars, row.algorithm, f"{row.mean_ms:.3f}", row.reps] for row in rows))
 
 
 def write_timing_csv(rows: Iterable[TimingRow], path: str) -> None:

@@ -10,7 +10,8 @@ never decrease by more than one grid step between rounds.
 is its own CandidateTable: round 1's is the scenario's candidate table,
 and each freeze narrows it with `take` to the columns of the surviving
 requests on unfrozen services. A round's payments, base K, LP, crash
-basis and plan read-out are all indexed by positions in its table.
+basis and plan read-out are all indexed by positions in its table, and
+its selection is one boolean mask over it, narrowed with the table.
 `run_fass` hands it the simplex warm-started from a known feasible
 matching: round 1 uses the feasibility check's matching, later rounds
 reuse the previous round's selection restricted to the surviving
@@ -52,7 +53,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -136,16 +137,6 @@ class FassResult(NamedTuple):
     plan: AssignmentPlan
     payments: PaymentVector
     trace: FassTrace
-
-
-def select_min_payment_request(payments: Mapping[int, float]) -> int:
-    """Request with the lowest payment; ties go to the lowest id."""
-    if not payments:
-        raise ValueError("no payments to select from")
-    for n, p in payments.items():
-        if not math.isfinite(p):
-            raise ValueError(f"payment of request {n} is not finite: {p!r}")
-    return min(payments, key=lambda n: (payments[n], n))
 
 
 def _crash_basis(layout: LambdaLayout, warm: np.ndarray) -> np.ndarray:
@@ -264,7 +255,7 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
     matched = np.full(scenario.num_requests, -1, dtype=np.int64)
     for n, (i, j) in matching.items():
         matched[n] = table.pool_start[i] + j
-    warm = np.flatnonzero(table.flat == matched[table.request])
+    selected = table.flat == matched[table.request]  # the round's selection, over its table
     active = list(range(scenario.num_requests))
     frozen: dict[int, tuple[int, int]] = {}
     records: list[RoundRecord] = []
@@ -281,13 +272,12 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
         solver = solve_round(quant.step == prev_step)
 
         if solver is None:  # the warm selection is the round's optimum: see the module docstring
-            chosen = warm
             lp_cols, iterations, solve_ms, pricing_ms, pivot_ms, integrality_gap = 0, 0, 0.0, 0.0, 0.0, 0.0
         else:
-            # the LP holds the columns at or above the round's bottleneck level, and warm's
+            # the LP holds the columns at or above the round's bottleneck level, and the selection's
             rank = np.searchsorted(active, table.request)  # active stays ascending
-            cut = levels >= _bottleneck_level(rank, table.flat, levels, warm)
-            cut[warm] = True
+            cut = levels >= _bottleneck_level(rank, table.flat, levels, np.flatnonzero(selected))
+            cut |= selected
             lp_table = table.take(cut)
             grid = LevelGrid(lp_table, np.arange(lp_table.request.size), quant.grid.levels[cut])
             lp, layout = build_reduced_subproblem_lp(
@@ -297,7 +287,7 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
             if not ok:
                 raise InvariantError(f"selection rows lost their two-block structure at column {bad_col}")
             t0 = time.perf_counter()
-            solution = solver(lp, layout, np.cumsum(cut)[warm] - 1)
+            solution = solver(lp, layout, np.flatnonzero(selected[cut]))
             solve_ms = (time.perf_counter() - t0) * 1000.0
             if solution.status != "optimal":
                 # a saturating matching exists, so the LP cannot be infeasible or unbounded
@@ -306,24 +296,21 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
             iterations, pricing_ms, pivot_ms = solution.iterations, solution.pricing_ms, solution.pivot_ms
             x_block = solution.values[: layout.num_triples]
             rint = np.rint(x_block)
-            chosen = np.flatnonzero(cut)[layout.columns[rint == 1]]
+            selected = np.zeros(width, dtype=bool)
+            selected[np.flatnonzero(cut)[layout.columns[rint == 1]]] = True
             integrality_gap = float(np.max(np.abs(x_block - rint)))
             round_to_plan(solution, layout, frozen)  # one service per request, none frozen
-        selected = np.zeros(width, dtype=bool)
-        selected[chosen] = True
-        payments = dict(zip(table.request[chosen].tolist(), table.pay1[chosen].tolist()))
-        n_star = select_min_payment_request(payments)
-        star = chosen[table.request[chosen] == n_star][0]
+        # the lowest payment, ties to the lowest id; quantize refused every non-finite payment
+        chosen = np.flatnonzero(selected)
+        star = chosen[np.lexsort((table.request[chosen], table.pay1[chosen]))[0]]
+        n_star, payment = int(table.request[star]), float(table.pay1[star])
         choice = (int(table.provider[star]), int(table.service[star]))
 
-        if prev_payment is not None:
-            slack = max(quant.step, prev_step) + 1e-9
-            if payments[n_star] < prev_payment - slack:
-                raise InvariantError(
-                    f"frozen payment dropped from {prev_payment} to {payments[n_star]} "
-                    f"(more than one grid step)"
-                )
-        prev_payment = payments[n_star]
+        if prev_payment is not None and payment < prev_payment - (max(quant.step, prev_step) + 1e-9):
+            raise InvariantError(
+                f"frozen payment dropped from {prev_payment} to {payment} (more than one grid step)"
+            )
+        prev_payment = payment
         prev_step = quant.step
 
         records.append(
@@ -332,7 +319,7 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
                 request_id=n_star,
                 provider_id=choice[0],
                 service_id=choice[1],
-                payment=payments[n_star],
+                payment=payment,
                 lp_vars=width,
                 lp_rows=len(active) + int(np.count_nonzero(np.bincount(table.flat))),
                 lp_cols=lp_cols,
@@ -350,10 +337,10 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
         )
         frozen[n_star] = choice
         active.remove(n_star)
-        # the next round's table: this round's, less the frozen request's and service's columns
-        survives = (table.request != n_star) & (table.flat != table.flat[star])
-        warm = np.flatnonzero(selected[survives])
-        table = table.take(survives)
+        if active:  # the next round's table: this round's, less the frozen request and service
+            survives = (table.request != n_star) & (table.flat != table.flat[star])
+            selected = selected[survives]
+            table = table.take(survives)
 
     plan = AssignmentPlan(frozen)
     violations = check_feasible(plan, scenario)

@@ -12,7 +12,7 @@ Indices are 0-based throughout the library; file formats use 1-based ids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 
@@ -219,18 +219,10 @@ def total_revenue(plan: AssignmentPlan, scenario: Scenario) -> float:
     return math.fsum(payment_vector(plan, scenario).per_request)
 
 
-def check_feasible(
-    plan: AssignmentPlan, scenario: Scenario, request_ids: Sequence[int] | None = None
-) -> list[Violation]:
-    """Report every constraint violated by the plan; empty iff feasible.
-
-    request_ids restricts the coverage requirement (used for partial plans
-    mid-solve); service collision and authorization are always checked for
-    every assignment present in the plan.
-    """
-    scope = range(scenario.num_requests) if request_ids is None else request_ids
+def check_feasible(plan: AssignmentPlan, scenario: Scenario) -> list[Violation]:
+    """Report every constraint violated by the plan; empty iff feasible."""
     violations: list[Violation] = []
-    for n in scope:
+    for n in range(scenario.num_requests):
         if not plan.covers(n):
             violations.append(Violation("unassigned", (n,), f"request {n} selects no service"))
     used: dict[tuple[int, int], list[int]] = {}

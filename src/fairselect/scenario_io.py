@@ -17,6 +17,7 @@ import math
 import os
 import secrets
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -250,6 +251,11 @@ def _expect(condition: bool, message: str) -> None:
         raise ScenarioFormatError(message)
 
 
+def _is_int(value: object, expected: int) -> bool:
+    """value is the JSON integer `expected`; in Python, true == 1 and 1.0 == 1 too."""
+    return type(value) is int and value == expected
+
+
 def parse_scenario_json(text: str) -> Scenario:
     """Validate and load a scenario document (inverse of scenario_to_json)."""
     try:
@@ -258,7 +264,7 @@ def parse_scenario_json(text: str) -> Scenario:
         raise ScenarioFormatError(f"not valid JSON: {exc}") from None
     _expect(isinstance(doc, dict), "top level must be an object")
     _expect(doc.get("format") == SCENARIO_FORMAT, f'"format" must be "{SCENARIO_FORMAT}"')
-    _expect(doc.get("version") == SCENARIO_VERSION, f'"version" must be {SCENARIO_VERSION}')
+    _expect(_is_int(doc.get("version"), SCENARIO_VERSION), f'"version" must be {SCENARIO_VERSION}')
     raw_providers = doc.get("providers")
     raw_requests = doc.get("requests")
     _expect(isinstance(raw_providers, list) and raw_providers, '"providers" must be a non-empty list')
@@ -269,13 +275,13 @@ def parse_scenario_json(text: str) -> Scenario:
     providers = []
     for pos, entry in enumerate(raw_providers, start=1):
         _expect(isinstance(entry, dict), f"provider #{pos} must be an object")
-        _expect(entry.get("id") == pos, f"provider #{pos} must carry id {pos} (1-based, in order)")
+        _expect(_is_int(entry.get("id"), pos), f"provider #{pos} must carry id {pos} (1-based, in order)")
         services = entry.get("services")
         _expect(isinstance(services, list) and services, f"provider {pos} needs a non-empty service list")
         pool = []
         for spos, svc in enumerate(services, start=1):
             _expect(isinstance(svc, dict), f"provider {pos} service #{spos} must be an object")
-            _expect(svc.get("id") == spos, f"provider {pos} service #{spos} must carry id {spos}")
+            _expect(_is_int(svc.get("id"), spos), f"provider {pos} service #{spos} must carry id {spos}")
             qos = svc.get("qos")
             _expect(isinstance(qos, (int, float)) and not isinstance(qos, bool), f"provider {pos} service {spos}: qos must be a number")
             pool.append((spos - 1, float(qos)))
@@ -284,11 +290,11 @@ def parse_scenario_json(text: str) -> Scenario:
     requests = []
     for pos, entry in enumerate(raw_requests, start=1):
         _expect(isinstance(entry, dict), f"request #{pos} must be an object")
-        _expect(entry.get("id") == pos, f"request #{pos} must carry id {pos} (1-based, in order)")
+        _expect(_is_int(entry.get("id"), pos), f"request #{pos} must carry id {pos} (1-based, in order)")
         allowed = entry.get("allowed_providers")
         _expect(isinstance(allowed, list) and allowed, f"request {pos} needs a non-empty allowed_providers list")
         for i in allowed:
-            _expect(isinstance(i, int) and 1 <= i <= len(providers), f"request {pos}: unknown provider id {i!r}")
+            _expect(type(i) is int and 1 <= i <= len(providers), f"request {pos}: unknown provider id {i!r}")
         for key in ("base_payment", "max_bonus", "qos_baseline"):
             value = entry.get(key)
             _expect(
@@ -348,17 +354,24 @@ def load_scenario(path: str) -> Scenario:
         return parse_scenario_json(handle.read())
 
 
-def plan_to_csv(plan: AssignmentPlan, scenario: Scenario) -> str:
-    """Plan rows (1-based ids) with each assignment's QoS and payment."""
+def csv_text(header: list[str], rows: Iterable[list]) -> str:
+    """CSV text of the header row, then the rows, each line ending in a bare newline."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(PLAN_CSV_HEADER)
-    for n in sorted(plan.choices):
-        i, j = plan.choices[n]
-        writer.writerow(
-            [n + 1, i + 1, j + 1, repr(scenario.qos(i, j)), repr(request_payment(plan, scenario, n))]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
+
+
+def plan_to_csv(plan: AssignmentPlan, scenario: Scenario) -> str:
+    """Plan rows (1-based ids) with each assignment's QoS and payment."""
+    return csv_text(
+        PLAN_CSV_HEADER,
+        (
+            [n + 1, i + 1, j + 1, repr(scenario.qos(i, j)), repr(request_payment(plan, scenario, n))]
+            for n, (i, j) in sorted(plan.choices.items())
+        ),
+    )
 
 
 def write_plan_csv(plan: AssignmentPlan, scenario: Scenario, path: str) -> None:
@@ -400,11 +413,9 @@ def load_plan_csv(path: str) -> AssignmentPlan:
 
 def trace_to_csv(trace: FassTrace) -> str:
     """Round-by-round engine trace, 1-based ids."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TRACE_CSV_HEADER)
-    for r in trace.rounds:
-        writer.writerow(
+    return csv_text(
+        TRACE_CSV_HEADER,
+        (
             [
                 r.round_index,
                 r.request_id + 1,
@@ -425,8 +436,9 @@ def trace_to_csv(trace: FassTrace) -> str:
                 repr(r.lp_objective),
                 repr(r.max_integrality_gap),
             ]
-        )
-    return buffer.getvalue()
+            for r in trace.rounds
+        ),
+    )
 
 
 def write_trace_csv(trace: FassTrace, path: str) -> None:

@@ -166,6 +166,19 @@ def test_bad_json_is_a_format_error(tmp_path, capsys):
     assert main(["solve", str(path)]) == 3
 
 
+def test_boolean_ids_are_a_format_error(tmp_path, capsys):
+    # true == 1 in Python, but a scenario's version and ids are JSON integers
+    path = tmp_path / "booleans.json"
+    path.write_text(
+        '{"format": "fairselect-scenario", "version": true,'
+        ' "providers": [{"id": true, "services": [{"id": true, "qos": 1.0}]}],'
+        ' "requests": [{"id": true, "allowed_providers": [true],'
+        ' "base_payment": 1.0, "max_bonus": 1.0, "qos_baseline": 1.0}]}'
+    )
+    assert main(["solve", str(path)]) == 3
+    assert '"version" must be 1' in capsys.readouterr().err
+
+
 def test_infeasible_scenario_exits_2(tmp_path, capsys):
     crowded = make_scenario(
         pools=[[1.0]],

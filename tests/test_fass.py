@@ -30,8 +30,7 @@ from fairselect import (
     write_trace_csv,
 )
 import fairselect.fass as fass_module
-from fairselect.fass import select_min_payment_request
-from fairselect.lex_transform import candidate_table, candidate_triples, round_to_plan
+from fairselect.lex_transform import CandidateTable, candidate_table, candidate_triples, round_to_plan
 
 from conftest import (
     feasible_scenarios,
@@ -93,13 +92,15 @@ def test_empty_scenario_is_rejected():
         run_fass(scenario)
 
 
-def test_select_min_payment_request():
-    assert select_min_payment_request({1: 0.5, 2: 1.5}) == 1
-    assert select_min_payment_request({2: 0.5, 0: 0.5}) == 0  # tie -> lowest id
-    with pytest.raises(ValueError):
-        select_min_payment_request({})
-    with pytest.raises(ValueError):
-        select_min_payment_request({0: math.nan})
+def test_a_payment_tie_freezes_the_lowest_request_id():
+    # requests 1 and 2 are identical and pay 1.5 on either service of
+    # provider 0; request 0 pays 5.5 on provider 1's one service
+    scenario = make_scenario(
+        pools=[[1.0, 1.0], [1.0]],
+        requests=[({1}, 5.0, 1.0, 2.0), ({0}, 1.0, 1.0, 2.0), ({0}, 1.0, 1.0, 2.0)],
+    )
+    rounds = run_fass(scenario).trace.rounds
+    assert [(r.request_id, r.payment) for r in rounds] == [(1, 1.5), (2, 1.5), (0, 5.5)]
 
 
 def test_freeze_payments_rise_and_cover_the_final_vector():
@@ -452,6 +453,22 @@ def test_each_round_quantizes_its_own_table(monkeypatch):
             for field in fields:
                 assert np.array_equal(getattr(table, field), getattr(full, field)[columns]), field
             frozen[record.request_id] = (record.provider_id, record.service_id)
+
+
+def test_tables_are_narrowed_only_for_a_round_that_follows(monkeypatch):
+    # one take per freeze that leaves a request, plus one per solved round's LP cut
+    calls = []
+    take = CandidateTable.take
+
+    def counting_take(self, columns):
+        calls.append(columns)
+        return take(self, columns)
+
+    monkeypatch.setattr(CandidateTable, "take", counting_take)
+    for scenario in _confirmation_scenarios():
+        calls.clear()
+        rounds = run_fass(scenario).trace.rounds
+        assert len(calls) == scenario.num_requests - 1 + sum(r.lp_cols > 0 for r in rounds)
 
 
 def test_solved_rounds_build_their_lp_on_the_rounds_base(monkeypatch):

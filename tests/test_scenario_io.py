@@ -177,6 +177,25 @@ def test_scenario_json_parse_errors():
     with pytest.raises(ScenarioFormatError, match="unknown provider"):
         parse_scenario_json(json.dumps(unknown_provider))
 
+    # true == 1 and 1.0 == 1 in Python, but neither is a JSON integer id
+    for value in (True, 1.0):
+        with pytest.raises(ScenarioFormatError, match='"version"'):
+            parse_scenario_json(json.dumps({**good, "version": value}))
+        for path, match in (
+            (("providers", 0, "id"), "provider #1 must carry id 1"),
+            (("providers", 0, "services", 0, "id"), "service #1 must carry id 1"),
+            (("requests", 0, "id"), "request #1 must carry id 1"),
+            (("requests", 0, "allowed_providers", 0), "unknown provider id"),
+        ):
+            doc = json.loads(json.dumps(good))
+            *parents, last = path
+            target = doc
+            for key in parents:
+                target = target[key]
+            target[last] = value
+            with pytest.raises(ScenarioFormatError, match=match):
+                parse_scenario_json(json.dumps(doc))
+
 
 def test_scenario_file_round_trip(tmp_path):
     scenario = two_request_scenario()
