@@ -188,13 +188,14 @@ def timing_run(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     per_pool = SWEEP_N_REQUESTS * SWEEP_N_PROVIDERS
-    rows = []
-    for vars_count in ladder:
-        if vars_count % per_pool != 0:
+    for vars_count in ladder:  # every point, before the first solve
+        if vars_count <= 0 or vars_count % per_pool != 0:
             raise ValueError(
-                f"ladder point {vars_count} is not a multiple of {per_pool} "
+                f"ladder point {vars_count} is not a positive multiple of {per_pool} "
                 f"({SWEEP_N_REQUESTS} requests x {SWEEP_N_PROVIDERS} providers)"
             )
+    rows = []
+    for vars_count in ladder:
         pool_size = vars_count // per_pool
         scenario = _scenario_for(
             matrix,

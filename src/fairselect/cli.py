@@ -103,9 +103,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     scenario = load_scenario(args.scenario)
+    config = FassConfig(step=args.step, range_cap=args.range_cap)  # refused before the search
     # above its enumeration cap brute force raises ValueError: exit 3, before the engine runs
     report = brute_force_mmf(scenario)
-    result = run_fass(scenario, FassConfig(step=args.step, range_cap=args.range_cap))
+    result = run_fass(scenario, config)
     ours = result.payments.sorted_view
     best = report.optimal_sorted
     tol = args.step + 1e-9

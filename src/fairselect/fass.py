@@ -26,9 +26,11 @@ is an assignment of the previous round, so the restriction is
 lexicographically no worse than it, and a common shift of every level
 changes no level-wise comparison. `run_fass` keeps that selection and
 builds no LP for the round; the simplex, started from it, would make
-only degenerate pivots and return it. Every round's record is read off
-its level grid, so a round that builds no LP still reports the LP it
-would have solved.
+only degenerate pivots and return it. Every round reads its step off its
+payment range (grid_step); only a solved round quantizes its whole
+table. A reused round levels just its selection and its lowest payment,
+with the float operations quantize uses, so its record still reports
+the LP it would have solved.
 
 Every round that solves an LP cuts it at the round's bottleneck level tau:
 the highest level at which the round's columns at or above it still assign
@@ -42,9 +44,9 @@ at or above tau plus the warm selection's, so its crash basis is
 unchanged. The cut is exact: lex_cost_rows minimizes the count at the
 deepest level first, so the LP optimum is leximin-optimal over levels,
 and a matching at or above tau counts 0 below it, so every optimum has
-its lowest level at or above tau and lies inside the cut. Quantization,
-the base K, the reuse test and every record except lp_cols read the
-round's whole table; only the columns the solver sees shrink.
+its lowest level at or above tau and lies inside the cut. The step, the
+base K, the reuse test and every record except lp_cols read the round's
+whole table; only the columns the solver sees shrink.
 """
 
 from __future__ import annotations
@@ -64,9 +66,11 @@ from .lex_transform import (
     build_reduced_subproblem_lp,
     candidate_table,
     effective_range_cap,
+    grid_step,
     integer_at_least,
     level_objective,
     objective_base,
+    payment_range,
     quantize,
     round_to_plan,
     verify_row_partition,
@@ -113,14 +117,16 @@ class RoundRecord:
     # columns of the LP the round solved: its candidates at or above its
     # bottleneck level, and the warm selection's; 0 in a reused round
     lp_cols: int
-    lp_objective: float  # xi of the selection: the LP objective at it
+    lp_objective: float  # xi of the selection: sum of K**-level over the selected levels alone
     solve_ms: float  # the round solver's call; 0 in a reused round
     # simplex pivots of the round solve; 0 in a round that reuses the previous
     # selection (it kept the previous step and builds no LP) and in ip_iterative rounds
     iterations: int
-    step: float  # effective quantization step after doubling
+    step: float  # effective quantization step after doubling, read off the payment range
     doublings: int  # times the requested step was doubled to fit the level range
-    levels: int  # row count of the round's lex_cost_rows
+    # row count of the round's lex_cost_rows: 1 less the level of its lowest
+    # selected payment, which a reused round levels alone, with its selection
+    levels: int
     K: int  # objective base of the round, and of the LP it solves
     pricing_ms: float  # simplex time choosing entering columns; 0 in the same rounds
     pivot_ms: float  # simplex time in ratio tests and pivots; 0 in the same rounds
@@ -267,13 +273,19 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
         width = table.request.size
         K = objective_base(width, config.k_base)
         cap = effective_range_cap(config.range_cap, width, config.k_base)
-        quant = quantize(table, active, config.step, cap)
-        levels = quant.grid.levels[:, 1]
-        solver = solve_round(quant.step == prev_step)
+        low, high = payment_range(table)  # names a non-finite payment in round 1, whose table holds them all
+        step, doublings = grid_step(low, high, config.step, cap)
+        solver = solve_round(step == prev_step)
 
         if solver is None:  # the warm selection is the round's optimum: see the module docstring
             lp_cols, iterations, solve_ms, pricing_ms, pivot_ms, integrality_gap = 0, 0, 0.0, 0.0, 0.0, 0.0
+            # quantize's levels, for the selection and the lowest payment alone
+            top = np.rint(high / step)
+            chosen_levels = np.rint(table.pay1[selected] / step) - top
+            deepest = np.rint(table.pay1.min() / step) - top
         else:
+            quant = quantize(table, active, config.step, cap)
+            levels = quant.grid.levels[:, 1]
             # the LP holds the columns at or above the round's bottleneck level, and the selection's
             rank = np.searchsorted(active, table.request)  # active stays ascending
             cut = levels >= _bottleneck_level(rank, table.flat, levels, np.flatnonzero(selected))
@@ -300,18 +312,19 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
             selected[np.flatnonzero(cut)[layout.columns[rint == 1]]] = True
             integrality_gap = float(np.max(np.abs(x_block - rint)))
             round_to_plan(solution, layout, frozen)  # one service per request, none frozen
-        # the lowest payment, ties to the lowest id; quantize refused every non-finite payment
+            chosen_levels, deepest = levels[selected], levels.min()
+        # the lowest payment, ties to the lowest id; payment_range refused every non-finite payment
         chosen = np.flatnonzero(selected)
         star = chosen[np.lexsort((table.request[chosen], table.pay1[chosen]))[0]]
         n_star, payment = int(table.request[star]), float(table.pay1[star])
         choice = (int(table.provider[star]), int(table.service[star]))
 
-        if prev_payment is not None and payment < prev_payment - (max(quant.step, prev_step) + 1e-9):
+        if prev_payment is not None and payment < prev_payment - (max(step, prev_step) + 1e-9):
             raise InvariantError(
                 f"frozen payment dropped from {prev_payment} to {payment} (more than one grid step)"
             )
         prev_payment = payment
-        prev_step = quant.step
+        prev_step = step
 
         records.append(
             RoundRecord(
@@ -323,12 +336,12 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
                 lp_vars=width,
                 lp_rows=len(active) + int(np.count_nonzero(np.bincount(table.flat))),
                 lp_cols=lp_cols,
-                lp_objective=float(level_objective(levels, K) @ selected.astype(float)),
+                lp_objective=float(level_objective(chosen_levels, K).sum()),
                 solve_ms=solve_ms,
                 iterations=iterations,
-                step=quant.step,
-                doublings=quant.doublings,
-                levels=1 - int(levels.min()),
+                step=step,
+                doublings=doublings,
+                levels=1 - int(deepest),
                 K=K,
                 pricing_ms=pricing_ms,
                 pivot_ms=pivot_ms,

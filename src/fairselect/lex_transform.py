@@ -259,6 +259,50 @@ def candidate_triples(
     return table.triples(table.columns(active_requests, excluded_services))
 
 
+def payment_range(table: CandidateTable, columns: np.ndarray | None = None) -> tuple[float, float]:
+    """Lowest and highest payment, either one, over the columns (default: all).
+
+    A non-finite payment (qos / qos_baseline can overflow) is a
+    NonFinitePaymentError, a ValueError naming the first such candidate:
+    no grid step spans it.
+    """
+    pay0, pay1 = (table.pay0, table.pay1) if columns is None else (table.pay0[columns], table.pay1[columns])
+    # min and max carry a nan through, and an infinite payment is a bound itself
+    low, high = np.minimum(pay0.min(), pay1.min()), np.maximum(pay0.max(), pay1.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
+        at = np.flatnonzero(~(np.isfinite(pay0) & np.isfinite(pay1)))[:1]
+        bad = table.triples(at if columns is None else columns[at])[0]
+        raise NonFinitePaymentError(
+            f"candidate (request, provider, service) {bad} has a non-finite payment", bad
+        )
+    return low, high
+
+
+def grid_step(low: float, high: float, step: float, range_cap: int) -> tuple[float, int]:
+    """Effective step of a grid over payments in [low, high], and its doublings.
+
+    step doubles until the grid spans at most range_cap levels. np.rint(p /
+    step) is monotone in p, so the grid spans exactly the levels of low and
+    high. Levels stay float64 here: at a tiny step payment/step exceeds
+    int64 or overflows to inf, and either fails the span test and doubles
+    the step. No step spans an infinite or nan bound, and a nan range_cap
+    or a zero step would never end the doubling, so all three are a
+    ValueError.
+    """
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError(f"payment range [{low}, {high}] is not finite")
+    if step <= 0 or not math.isfinite(step):
+        raise ValueError(f"step must be positive, got {step}")
+    range_cap = integer_at_least("range_cap", range_cap, 1)
+    effective = float(step)
+    doublings = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not (np.rint(high / effective) - np.rint(low / effective) <= range_cap):
+            effective *= 2.0
+            doublings += 1
+    return effective, doublings
+
+
 def quantize(
     scenario: Scenario | CandidateTable,
     active_requests: Sequence[int],
@@ -269,40 +313,19 @@ def quantize(
 ) -> QuantizedPayments:
     """Snap every candidate payment to a grid of at most range_cap+1 levels.
 
-    The step doubles until the spanned level range fits under range_cap;
-    levels are then shifted so the maximum is 0. A non-finite payment
+    The step doubles until the spanned level range fits under range_cap
+    (grid_step, which reads only the lowest and highest payment); levels
+    are then shifted so the maximum is 0. A non-finite payment
     (qos / qos_baseline can overflow) is a NonFinitePaymentError, a
     ValueError naming its candidate.
     """
-    if step <= 0 or not math.isfinite(step):
-        raise ValueError(f"step must be positive, got {step}")
-    range_cap = integer_at_least("range_cap", range_cap, 1)  # nan would never end the doubling
     table = _table(scenario)
     columns = table.columns(active_requests, excluded_services)
     if not columns.size:
         raise ValueError("no candidate payments to quantize")
+    effective, doublings = grid_step(*payment_range(table, columns), step, range_cap)
     payments = np.stack([table.pay0[columns], table.pay1[columns]], axis=1)
-    finite = np.isfinite(payments).all(axis=1)
-    if not finite.all():
-        # no step spans an infinite or nan payment: the doubling below would never end
-        bad = table.triples(columns[~finite][:1])[0]
-        raise NonFinitePaymentError(
-            f"candidate (request, provider, service) {bad} has a non-finite payment", bad
-        )
-
-    # np.rint(p / step) is monotone in p, so the grid spans exactly the
-    # levels of the smallest and largest payment. Levels stay float64 until
-    # they are shifted into [-range_cap, 0]: at a tiny step payment/step
-    # exceeds int64 or overflows to inf, and either fails the span test and
-    # doubles the step
-    low, high = payments.min(), payments.max()
-    effective = float(step)
-    doublings = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while not (np.rint(high / effective) - np.rint(low / effective) <= range_cap):
-            effective *= 2.0
-            doublings += 1
-        levels = np.rint(payments / effective)
+    levels = np.rint(payments / effective)  # finite: the span test passed at this step
     top = levels.max()
     shifted = (levels - top).astype(np.int64)
     return QuantizedPayments(

@@ -1,6 +1,7 @@
 """Shared scenario builders and the acceptance summary hook."""
 
 import random
+import signal
 
 import pytest
 
@@ -132,6 +133,29 @@ def feasible_scenarios(builder, count, seed):
         if has_saturating_matching(scenario):
             out.append(scenario)
     return out
+
+
+DEADLINE_SECONDS = 10.0
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs past DEADLINE_SECONDS instead of hanging the suite.
+
+    A SIGALRM timer; pytest.fail raises a BaseException, so no `except
+    Exception` or `except OSError` in the code under test swallows it.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {DEADLINE_SECONDS} s", pytrace=True)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, DEADLINE_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -107,6 +107,18 @@ def test_tiny_timing_run():
         timing_run(matrix, ladder=(450,), reps=0)
 
 
+@pytest.mark.parametrize("ladder", [(450, 7), (450, 0)])
+def test_timing_run_checks_every_ladder_point_before_solving(ladder, monkeypatch):
+    import fairselect.bench as bench_module
+
+    solves = []
+    monkeypatch.setattr(bench_module, "run_fass", solves.append)
+    monkeypatch.setattr(bench_module, "ip_iterative", solves.append)
+    with pytest.raises(ValueError, match="positive multiple"):
+        timing_run(synthetic_qos_matrix(seed=0), ladder=ladder, reps=1)
+    assert solves == []
+
+
 def test_fit_growth_exponent():
     rows = [
         TimingRow(vars=450, algorithm="fass", mean_ms=45.0, reps=1),

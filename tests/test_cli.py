@@ -222,9 +222,10 @@ def test_non_finite_payment_exits_3_promptly(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.usefixtures("deadline")
 def test_non_finite_payment_names_the_file_ids(tmp_path, capsys):
     # the overflowing candidate is the library's (0, 1, 0): the file's
-    # request 1 on provider 2's service 1
+    # request 1 on provider 2's service 1; the deadline turns a hang into a failure
     overflow = make_scenario(
         pools=[[0.5], [1e308, 1.0]],
         requests=[({1}, 1.0, 1.0, 1e-10), ({1}, 1.0, 1.0, 1.0)],
@@ -237,6 +238,7 @@ def test_non_finite_payment_names_the_file_ids(tmp_path, capsys):
     assert "request 1, provider 2, service 1" in err
 
 
+@pytest.mark.usefixtures("deadline")
 @pytest.mark.parametrize("bonus", [1.0, 0.0])
 def test_oracle_check_refuses_non_finite_payments(bonus, tmp_path, capsys):
     # at bonus 0 the overflowing payment is nan (0 * inf), which the oracle
@@ -362,6 +364,9 @@ def test_bench_smoke(dataset_file, tmp_path, capsys):
     assert main(["bench", "--dataset", dataset_file, "--ladder", "", "--out", str(out)]) == 3
     assert main(["bench", "--dataset", dataset_file, "--ladder", "450,x", "--out", str(out)]) == 3
     assert "bad ladder" in capsys.readouterr().err
+    argv = ["bench", "--dataset", dataset_file, "--ladder", "450,0", "--reps", "1", "--out", str(out)]
+    assert main(argv) == 3
+    assert "not a positive multiple of 90" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -375,6 +380,7 @@ def test_bench_smoke(dataset_file, tmp_path, capsys):
         ["oracle-check", "{scenario}", "--step", "0"],
         ["oracle-check", "{scenario}", "--step", "nan"],
         ["oracle-check", "{scenario}", "--step", "-1"],
+        ["oracle-check", "{scenario}", "--range-cap", "0"],
         ["sweep", "--dataset", "{dataset}", "--levels", "4", "--runs", "0", "--out", "{out}"],
         ["gen", "--dataset", "{dataset}", "--n", "0", "--m", "3", "--pool", "2", "--out", "{out}"],
         [
@@ -384,7 +390,13 @@ def test_bench_smoke(dataset_file, tmp_path, capsys):
         ["bench", "--dataset", "{dataset}", "--ladder", "450", "--reps", "0", "--out", "{out}"],
     ],
 )
-def test_bad_numeric_arguments_exit_3(args, scenario_file, dataset_file, tmp_path, capsys):
+def test_bad_numeric_arguments_exit_3(args, scenario_file, dataset_file, tmp_path, monkeypatch, capsys):
+    import fairselect.cli as cli_module
+
+    def no_search(scenario):
+        raise AssertionError("oracle-check searched before checking its arguments")
+
+    monkeypatch.setattr(cli_module, "brute_force_mmf", no_search)
     out = str(tmp_path / "out")
     argv = [a.format(scenario=scenario_file, dataset=dataset_file, out=out) for a in args]
     assert main(argv) == 3

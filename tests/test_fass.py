@@ -429,9 +429,28 @@ def test_range_cap_counts_each_rounds_candidates(monkeypatch):
         assert counts == [r.lp_vars for r in rounds]
 
 
+def test_only_solved_rounds_quantize(monkeypatch):
+    # a reused round reads its step off its payment range and levels only its selection
+    calls = []  # the round of each quantize call: N + 1 less its active count
+    quantize_ = fass_module.quantize
+
+    def recording_quantize(table, active, *args, **kwargs):
+        calls.append(scenario.num_requests + 1 - len(active))
+        return quantize_(table, active, *args, **kwargs)
+
+    monkeypatch.setattr(fass_module, "quantize", recording_quantize)
+    reused = 0
+    for scenario in _confirmation_scenarios():
+        calls.clear()
+        rounds = run_fass(scenario).trace.rounds
+        assert calls == [r.round_index for r in rounds if r.lp_cols > 0]
+        reused += len(rounds) - len(calls)
+    assert reused > 0
+
+
 def test_each_round_quantizes_its_own_table(monkeypatch):
-    # a round's table is the scenario's candidate table restricted to the
-    # active requests on services nobody froze, in table order
+    # a solved round's table is the scenario's candidate table restricted to
+    # the active requests on services nobody froze, in table order
     seen = []
     quantize_ = fass_module.quantize
 
@@ -446,12 +465,16 @@ def test_each_round_quantizes_its_own_table(monkeypatch):
         rounds = run_fass(scenario).trace.rounds
         full = candidate_table(scenario)
         frozen = {}
-        assert len(seen) == len(rounds)
-        for (table, active), record in zip(seen, rounds):
-            assert active == [n for n in range(scenario.num_requests) if n not in frozen]
-            columns = full.columns(active, frozen.values())
-            for field in fields:
-                assert np.array_equal(getattr(table, field), getattr(full, field)[columns]), field
+        solved = [r.lp_cols > 0 for r in rounds]
+        assert len(seen) == sum(solved)
+        calls = iter(seen)
+        for record, quantized in zip(rounds, solved):
+            if quantized:
+                table, active = next(calls)
+                assert active == [n for n in range(scenario.num_requests) if n not in frozen]
+                columns = full.columns(active, frozen.values())
+                for field in fields:
+                    assert np.array_equal(getattr(table, field), getattr(full, field)[columns]), field
             frozen[record.request_id] = (record.provider_id, record.service_id)
 
 

@@ -29,6 +29,7 @@ from fairselect.lex_transform import (
     assignment_block,
     candidate_table,
     candidate_triples,
+    grid_step,
     round_to_plan,
 )
 from fairselect.simplex import LPSolution
@@ -150,6 +151,35 @@ def test_quantize_rejects_a_non_finite_payment(bonus, bad):
         quantize(scenario, [0, 1])
     # without request 0 every payment is finite
     assert quantize(scenario, [1]).doublings >= 0
+
+
+def test_grid_step_matches_quantize():
+    # the engine's reused rounds take their step from the payment range alone;
+    # 1e-310 is a step at which payment / step overflows to inf
+    rng = random.Random(20)
+    for _ in range(300):
+        pool = [rng.uniform(0.1, 5.0) for _ in range(rng.randint(1, 4))]
+        a, b, q_ref = rng.uniform(0.0, 100.0), rng.choice((0.0, 0.3, 40.0, 1e4)), rng.uniform(0.5, 4.0)
+        scenario = single_request_scenario(pool, a=a, b=b, q_ref=q_ref)
+        step, cap = rng.choice((0.01, 1e-4, 1e-19, 1e-310)), rng.choice((1, 8, 100, 1000))
+        quant = quantize(scenario, [0], step=step, range_cap=cap)
+        table = candidate_table(scenario)
+        payments = np.concatenate((table.pay0, table.pay1))
+        effective, doublings = grid_step(payments.min(), payments.max(), step, cap)
+        assert (effective, doublings) == (quant.step, quant.doublings)
+        assert np.ptp(np.rint(payments / effective)) <= cap
+        if doublings:
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.ptp(np.rint(payments / (effective / 2))) <= cap
+
+
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_grid_step_refuses_a_non_finite_bound(bad):
+    # no step spans it, so the doubling must not start
+    for low, high in ((bad, 1.0), (0.0, bad), (bad, bad)):
+        with pytest.raises(ValueError, match="not finite"):
+            grid_step(low, high, 0.01, 100)
 
 
 def test_effective_range_cap():
