@@ -15,6 +15,7 @@ import sys
 
 from .baselines import randomized, revenue_max
 from .bench import (
+    DEFAULT_LADDER,
     pricing_sweep,
     timing_run,
     write_sweep_csv,
@@ -178,21 +179,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fairselect", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    defaults = FassConfig()
 
     solve = sub.add_parser("solve", help="assign services to the requests of a scenario file")
     solve.add_argument("scenario")
     solve.add_argument("--algo", choices=("fass", "revmax", "random"), default="fass")
     solve.add_argument("--seed", type=int, default=0, help="seed for --algo random")
-    solve.add_argument("--step", type=float, default=0.01, help="payment quantization step")
-    solve.add_argument("--range-cap", type=int, default=100, dest="range_cap")
+    solve.add_argument("--step", type=float, default=defaults.step, help="payment quantization step")
+    solve.add_argument("--range-cap", type=int, default=defaults.range_cap, dest="range_cap")
     solve.add_argument("--out", help="write the plan as CSV")
     solve.add_argument("--trace", help="write per-round engine trace as CSV")
     solve.set_defaults(func=_cmd_solve)
 
     oracle = sub.add_parser("oracle-check", help="compare the engine against exhaustive search")
     oracle.add_argument("scenario")
-    oracle.add_argument("--step", type=float, default=0.01)
-    oracle.add_argument("--range-cap", type=int, default=100, dest="range_cap")
+    oracle.add_argument("--step", type=float, default=defaults.step)
+    oracle.add_argument("--range-cap", type=int, default=defaults.range_cap, dest="range_cap")
     oracle.set_defaults(func=_cmd_oracle_check)
 
     sweep = sub.add_parser("sweep", help="pricing-level fairness/revenue comparison")
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="wall-clock scaling over a variable-count ladder")
     bench.add_argument("--dataset", required=True)
-    bench.add_argument("--ladder", default="450,900,1800,2700,3600,4500")
+    bench.add_argument("--ladder", default=",".join(map(str, DEFAULT_LADDER)))
     bench.add_argument("--reps", type=int, default=20)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", required=True)

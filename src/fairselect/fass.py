@@ -9,9 +9,9 @@ never decrease by more than one grid step between rounds.
 `freeze_rounds` is that loop with the round solver passed in. Each round
 is its own CandidateTable: round 1's is the scenario's candidate table,
 and each freeze narrows it with `take` to the columns of the surviving
-requests on unfrozen services. A round's payments, base K, LP, crash
-basis and plan read-out are all indexed by positions in its table, and
-its selection is one boolean mask over it, narrowed with the table.
+requests on unfrozen services. A round's payments, base K, grid, LP,
+crash basis and plan read-out are all indexed by positions in its table,
+and its selection is one boolean mask over it, narrowed with the table.
 `run_fass` hands it the simplex warm-started from a known feasible
 matching: round 1 uses the feasibility check's matching, later rounds
 reuse the previous round's selection restricted to the surviving
@@ -39,9 +39,9 @@ finds it by binary search over the distinct levels, between the warm
 selection's lowest level, which that selection shows feasible, and the
 lowest per-request best level, which it probes first; each probe extends
 the last feasible matching, cut to the probe's level, with augmenting
-paths. The LP's table is the round's, narrowed with `take` to the columns
-at or above tau plus the warm selection's, so its crash basis is
-unchanged. The cut is exact: lex_cost_rows minimizes the count at the
+paths. The LP's table and grid are the round's, narrowed with `take` to
+the columns at or above tau plus the warm selection's, so its crash basis
+is unchanged. The cut is exact: lex_cost_rows minimizes the count at the
 deepest level first, so the LP optimum is leximin-optimal over levels,
 and a matching at or above tau counts 0 below it, so every optimum has
 its lowest level at or above tau and lies inside the cut. The step, the
@@ -62,7 +62,6 @@ import numpy as np
 from .errors import InfeasibleError, InvariantError
 from .lex_transform import (
     LambdaLayout,
-    LevelGrid,
     build_reduced_subproblem_lp,
     candidate_table,
     effective_range_cap,
@@ -148,17 +147,17 @@ class FassResult(NamedTuple):
 def _crash_basis(layout: LambdaLayout, warm: np.ndarray) -> np.ndarray:
     """Feasible starting basis for a round LP from a known selection.
 
-    warm holds the table columns of a feasible selection, one per active
-    request, ascending (so in request-row order). Row i's basic column: the
-    selected x column for request rows, the row's own slack for capacity
-    rows. The basis matrix is triangular, so the solver canonicalizes it
-    with one cheap pivot per request; a basis that is not feasible sends
-    the solver to its two-phase start.
+    warm holds the positions in layout.table of a feasible selection, one
+    per active request, ascending (so in request-row order). Row i's basic
+    column: the selected x column for request rows, the row's own slack for
+    capacity rows. The basis matrix is triangular, so the solver
+    canonicalizes it with one cheap pivot per request; a basis that is not
+    feasible sends the solver to its two-phase start.
     """
     if warm.size != layout.num_request_rows:
         raise InvariantError("warm start does not select one column per active request")
     slacks = layout.num_triples + np.arange(layout.num_provider_rows)
-    return np.concatenate((np.searchsorted(layout.columns, warm), slacks))
+    return np.concatenate((warm, slacks))
 
 
 def _warm_simplex(lp: StandardLP, layout: LambdaLayout, warm: np.ndarray) -> LPSolution:
@@ -221,7 +220,7 @@ def _bottleneck_level(
 
 
 # kept -> None to keep the warm selection, or the round's LP solver:
-# (lp, layout, warm selection as ascending columns of layout.table) -> optimal solution
+# (lp, layout, warm selection as ascending positions in layout.table) -> optimal solution
 RoundSolver = Callable[[bool], Callable[[StandardLP, LambdaLayout, np.ndarray], LPSolution] | None]
 
 
@@ -290,12 +289,11 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
             rank = np.searchsorted(active, table.request)  # active stays ascending
             cut = levels >= _bottleneck_level(rank, table.flat, levels, np.flatnonzero(selected))
             cut |= selected
-            lp_table = table.take(cut)
-            grid = LevelGrid(lp_table, np.arange(lp_table.request.size), quant.grid.levels[cut])
+            grid = quant.grid.take(cut)
             lp, layout = build_reduced_subproblem_lp(
-                lp_table, frozen, active, dataclasses.replace(quant, grid=grid), k_override=K
+                grid.table, frozen, active, dataclasses.replace(quant, grid=grid), k_override=K
             )
-            ok, bad_col = verify_row_partition(layout.block, layout.num_request_rows)
+            ok, bad_col = verify_row_partition(lp.entries, layout.num_request_rows)
             if not ok:
                 raise InvariantError(f"selection rows lost their two-block structure at column {bad_col}")
             t0 = time.perf_counter()
@@ -309,7 +307,7 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
             x_block = solution.values[: layout.num_triples]
             rint = np.rint(x_block)
             selected = np.zeros(width, dtype=bool)
-            selected[np.flatnonzero(cut)[layout.columns[rint == 1]]] = True
+            selected[np.flatnonzero(cut)[rint == 1]] = True
             integrality_gap = float(np.max(np.abs(x_block - rint)))
             round_to_plan(solution, layout, frozen)  # one service per request, none frozen
             chosen_levels, deepest = levels[selected], levels.min()
@@ -317,7 +315,7 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
         chosen = np.flatnonzero(selected)
         star = chosen[np.lexsort((table.request[chosen], table.pay1[chosen]))[0]]
         n_star, payment = int(table.request[star]), float(table.pay1[star])
-        choice = (int(table.provider[star]), int(table.service[star]))
+        choice = table.pairs(table.flat[star : star + 1])[0]
 
         if prev_payment is not None and payment < prev_payment - (max(step, prev_step) + 1e-9):
             raise InvariantError(

@@ -25,16 +25,18 @@ rows from LambdaLayout.lex_cost_rows, which order columns identically
 sum respect the level-wise lexicographic order) and stay exact.
 
 Every candidate pair of a scenario, with both of its payments, is one
-column of a CandidateTable, built once per solve. A round is its own
-table: the columns of the still active requests on services nobody froze,
-narrowed from the round before's with CandidateTable.take, and the LP a
-round solves is its table narrowed once more. Quantization, the
-constraint block (the entries of one request row and one capacity row per
-column, scattered into the tableau as they are), the row partition check
-(per-column counts over the entries) and the plan read-out all work on a
-table's arrays. The scenario-level functions (candidate_triples,
-quantize, build_reduced_subproblem_lp) accept a Scenario and build the
-table themselves, or take the engine's round table.
+column of a CandidateTable, built once per solve. A table is the only
+numbering: a subset of a table is a new table (CandidateTable.select and
+take), and every grid and every round LP covers one whole table, column t
+of the LP being column t of its table. A round is its own table: the
+columns of the still active requests on services nobody froze, narrowed
+from the round before's, and the LP a round solves is its table narrowed
+once more. Quantization, the constraint block (the entries of one request
+row and one capacity row per column, scattered into the tableau as they
+are), the row partition check (per-column counts over the entries) and the
+plan read-out all work on a table's arrays. The scenario-level functions
+(candidate_triples, quantize, build_reduced_subproblem_lp) accept a
+Scenario and build the table themselves, or take the engine's round table.
 """
 
 from __future__ import annotations
@@ -77,19 +79,21 @@ def xi_score(levels: Sequence[int], K: int) -> float:
 class CandidateTable:
     """Every authorized (request, provider, service) pair of one scenario.
 
-    Column t is the pair (request[t], provider[t], service[t]); columns run
-    in candidate_triples order (request, then provider, then service index).
-    flat[t] numbers the service across all pools in (provider, service)
-    order, pool_start[i] being provider i's first number. pay0/pay1 are
-    assignment_payment's unselected and selected payments of the pair,
-    computed with the same float operations, so they are the same floats.
+    Column t pairs request[t] with the service numbered flat[t]; services are
+    numbered across all pools in (provider, service) order, pool_start[i]
+    being provider i's first number, and pairs() reads a number back as its
+    (provider, service). Columns run in candidate_triples order (request,
+    then provider, then service index). pay0/pay1 are assignment_payment's
+    unselected and selected payments of the pair, computed with the same
+    float operations, so they are the same floats.
+
+    A subset of a table is a new table (select, take), numbered from 0 in
+    the same order; it keeps the scenario's request ids and service numbers.
     """
 
     num_requests: int
     pool_start: np.ndarray
     request: np.ndarray
-    provider: np.ndarray
-    service: np.ndarray
     flat: np.ndarray
     pay0: np.ndarray
     pay1: np.ndarray
@@ -98,44 +102,50 @@ class CandidateTable:
     def num_services(self) -> int:
         return int(self.pool_start[-1])
 
-    def columns(
+    def number(self, provider: int, service: int) -> int | None:
+        """flat number of the service, or None if the scenario has no such service."""
+        start = self.pool_start
+        if 0 <= provider < start.size - 1 and 0 <= service < start[provider + 1] - start[provider]:
+            return int(start[provider] + service)
+        return None
+
+    def pairs(self, flat: np.ndarray) -> list[tuple[int, int]]:
+        """(provider, service) of each service number."""
+        provider = np.searchsorted(self.pool_start, flat, side="right") - 1
+        return list(zip(provider.tolist(), (flat - self.pool_start[provider]).tolist()))
+
+    def select(
         self, active_requests: Iterable[int], excluded_services: Iterable[tuple[int, int]] = ()
-    ) -> np.ndarray:
-        """Ascending columns of the active requests' pairs on services not excluded."""
+    ) -> CandidateTable:
+        """The table of the active requests' pairs on services not excluded.
+
+        The table itself when that is every column. An excluded pair naming
+        no service of the scenario excludes nothing.
+        """
         active = np.zeros(self.num_requests, dtype=bool)
         for n in active_requests:
             if not (0 <= n < self.num_requests):
                 raise ValueError(f"unknown request {n}")
             active[n] = True
         keep = active[self.request]
-        start = self.pool_start
-        # pairs naming no service of the scenario exclude nothing
-        removed = [
-            start[i] + j
-            for i, j in excluded_services
-            if 0 <= i < start.size - 1 and 0 <= j < start[i + 1] - start[i]
-        ]
+        removed = [k for k in (self.number(i, j) for i, j in excluded_services) if k is not None]
         if removed:
             free = np.ones(self.num_services, dtype=bool)
             free[removed] = False
             keep &= free[self.flat]
-        return keep.nonzero()[0]
+        return self if keep.all() else self.take(keep)
 
     def take(self, columns: np.ndarray) -> CandidateTable:
         """The table of just these columns, given as indices or a mask, in table order."""
         keep = np.zeros(self.request.size, dtype=bool)
         keep[columns] = True
-        per_column = ("request", "provider", "service", "flat", "pay0", "pay1")
+        per_column = ("request", "flat", "pay0", "pay1")
         return replace(self, **{name: getattr(self, name)[keep] for name in per_column})
 
-    def triples(self, columns: np.ndarray) -> list[Triple]:
-        return list(
-            zip(
-                self.request[columns].tolist(),
-                self.provider[columns].tolist(),
-                self.service[columns].tolist(),
-            )
-        )
+    def triples(self, columns: np.ndarray | slice = slice(None)) -> list[Triple]:
+        """(request, provider, service) of the columns (default: all)."""
+        requests = self.request[columns].tolist()
+        return [(n, i, j) for n, (i, j) in zip(requests, self.pairs(self.flat[columns]))]
 
 
 def candidate_table(scenario: Scenario) -> CandidateTable:
@@ -163,8 +173,6 @@ def candidate_table(scenario: Scenario) -> CandidateTable:
         num_requests=scenario.num_requests,
         pool_start=pool_start,
         request=request,
-        provider=provider_of[flat],
-        service=flat - pool_start[provider_of[flat]],
         flat=flat,
         pay0=pay0,
         pay1=pay1,
@@ -176,21 +184,25 @@ def _table(source: Scenario | CandidateTable) -> CandidateTable:
 
 
 class LevelGrid(Mapping):
-    """Grid levels of table columns, read as (request, provider, service) -> (level0, level1).
+    """Grid levels of a whole table, read as (request, provider, service) -> (level0, level1).
 
-    levels[k] belongs to table column columns[k]. The engine reads the
-    arrays; the mapping's keys are built on first use.
+    levels[t] belongs to table column t; the grid of a subset of the table
+    is take's. The engine reads the arrays; the mapping's keys are built on
+    first use.
     """
 
-    def __init__(self, table: CandidateTable, columns: np.ndarray, levels: np.ndarray):
+    def __init__(self, table: CandidateTable, levels: np.ndarray):
         self.table = table
-        self.columns = columns
         self.levels = levels
         self._position: dict[Triple, int] | None = None
 
+    def take(self, columns: np.ndarray) -> LevelGrid:
+        """The grid of table.take(columns), the columns given as a mask or ascending indices."""
+        return LevelGrid(self.table.take(columns), self.levels[columns])
+
     def _positions(self) -> dict[Triple, int]:
         if self._position is None:
-            self._position = {t: k for k, t in enumerate(self.table.triples(self.columns))}
+            self._position = {t: k for k, t in enumerate(self.table.triples())}
         return self._position
 
     def __getitem__(self, triple: Triple) -> tuple[int, int]:
@@ -201,7 +213,7 @@ class LevelGrid(Mapping):
         return iter(self._positions())
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self.levels)
 
 
 @dataclass(frozen=True)
@@ -255,23 +267,22 @@ def candidate_triples(
     excluded_services: Iterable[tuple[int, int]] = (),
 ) -> list[Triple]:
     """Available (request, provider, service) candidates in sorted order."""
-    table = candidate_table(scenario)
-    return table.triples(table.columns(active_requests, excluded_services))
+    return candidate_table(scenario).select(active_requests, excluded_services).triples()
 
 
-def payment_range(table: CandidateTable, columns: np.ndarray | None = None) -> tuple[float, float]:
-    """Lowest and highest payment, either one, over the columns (default: all).
+def payment_range(table: CandidateTable) -> tuple[float, float]:
+    """Lowest and highest payment, either one, over the table.
 
     A non-finite payment (qos / qos_baseline can overflow) is a
     NonFinitePaymentError, a ValueError naming the first such candidate:
     no grid step spans it.
     """
-    pay0, pay1 = (table.pay0, table.pay1) if columns is None else (table.pay0[columns], table.pay1[columns])
+    pay0, pay1 = table.pay0, table.pay1
     # min and max carry a nan through, and an infinite payment is a bound itself
     low, high = np.minimum(pay0.min(), pay1.min()), np.maximum(pay0.max(), pay1.max())
     if not (math.isfinite(low) and math.isfinite(high)):
         at = np.flatnonzero(~(np.isfinite(pay0) & np.isfinite(pay1)))[:1]
-        bad = table.triples(at if columns is None else columns[at])[0]
+        bad = table.triples(at)[0]
         raise NonFinitePaymentError(
             f"candidate (request, provider, service) {bad} has a non-finite payment", bad
         )
@@ -319,12 +330,11 @@ def quantize(
     (qos / qos_baseline can overflow) is a NonFinitePaymentError, a
     ValueError naming its candidate.
     """
-    table = _table(scenario)
-    columns = table.columns(active_requests, excluded_services)
-    if not columns.size:
+    table = _table(scenario).select(active_requests, excluded_services)
+    if not table.request.size:
         raise ValueError("no candidate payments to quantize")
-    effective, doublings = grid_step(*payment_range(table, columns), step, range_cap)
-    payments = np.stack([table.pay0[columns], table.pay1[columns]], axis=1)
+    effective, doublings = grid_step(*payment_range(table), step, range_cap)
+    payments = np.stack([table.pay0, table.pay1], axis=1)
     levels = np.rint(payments / effective)  # finite: the span test passed at this step
     top = levels.max()
     shifted = (levels - top).astype(np.int64)
@@ -333,38 +343,31 @@ def quantize(
         requested_step=float(step),
         shift=int(top),
         doublings=doublings,
-        grid=LevelGrid(table, columns, shifted),
+        grid=LevelGrid(table, shifted),
     )
 
 
-def _round_levels(
-    grid: Mapping[Triple, tuple[int, int]], table: CandidateTable, columns: np.ndarray
-) -> np.ndarray:
-    """(columns, 2) grid levels of a round's columns; a column off the grid is a stale grid."""
+def _round_levels(grid: Mapping[Triple, tuple[int, int]], table: CandidateTable) -> np.ndarray:
+    """(columns, 2) grid levels of a round's table; a column off the grid is a stale grid."""
     if isinstance(grid, LevelGrid) and grid.table is table:
-        at = np.minimum(np.searchsorted(grid.columns, columns), grid.columns.size - 1)
-        covered = grid.columns[at] == columns
-        if covered.all():
-            return grid.levels[at]
-        missing = table.triples(columns[~covered][:1])[0]
-    else:
-        triples = table.triples(columns)
-        missing = next((t for t in triples if t not in grid), None)
-        if missing is None:
-            return np.array([grid[t] for t in triples], dtype=np.int64).reshape(-1, 2)
-    raise ValueError(f"quantization grid does not cover {missing} (stale grid?)")
+        return grid.levels
+    triples = table.triples()
+    missing = next((t for t in triples if t not in grid), None)
+    if missing is not None:
+        raise ValueError(f"quantization grid does not cover {missing} (stale grid?)")
+    return np.array([grid[t] for t in triples], dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass(frozen=True, eq=False)
 class LambdaLayout:
     """Column/row map for one subproblem LP.
 
-    One x column per candidate: columns[t] is its table column, so the
+    The LP covers one whole table: x column t is table column t, so the
     columns run in candidate_triples order. Constraint rows are one equality
     per active request, then one <=1 row per referenced service, services
-    in flat (i, j) order. block holds the constraint block's entries: a 1
-    at each column's request row (the first num_triples entries, in column
-    order), then a 1 at each column's capacity row: it is lp.entries.
+    (their flat numbers) in (i, j) order. lp.entries holds the constraint
+    block: a 1 at each column's request row (the first num_triples entries,
+    in column order), then a 1 at each column's capacity row.
 
     levels[t] is the grid level of column t's selected payment; the LP
     objective coefficient is K**(-levels[t]). The levels feed
@@ -375,16 +378,14 @@ class LambdaLayout:
     """
 
     table: CandidateTable
-    columns: np.ndarray
     K: int
     levels: np.ndarray
     request_row_ids: tuple[int, ...]
     services: np.ndarray
-    block: BlockEntries
 
     @property
     def num_triples(self) -> int:
-        return self.columns.size
+        return self.table.request.size
 
     @property
     def num_request_rows(self) -> int:
@@ -393,17 +394,6 @@ class LambdaLayout:
     @property
     def num_provider_rows(self) -> int:
         return self.services.size
-
-    @property
-    def triples(self) -> tuple[Triple, ...]:
-        return tuple(self.table.triples(self.columns))
-
-    @property
-    def provider_row_services(self) -> tuple[tuple[int, int], ...]:
-        """(provider, service) of each capacity row."""
-        start = self.table.pool_start
-        providers = np.searchsorted(start, self.services, side="right") - 1
-        return tuple(zip(providers.tolist(), (self.services - start[providers]).tolist()))
 
     def lex_cost_rows(self) -> np.ndarray:
         """Objective as one row per grid level, deepest level first.
@@ -429,10 +419,12 @@ def build_reduced_subproblem_lp(
 ) -> tuple[StandardLP, LambdaLayout]:
     """Selection LP for one round.
 
-    Columns: one x per candidate. Rows: request equalities, then service
-    capacities. Objective sum(K**(-level) * x) over the selected payments'
-    grid levels, so an integral optimum's value is xi_score of the chosen
-    levels. The grid's unselected levels are not read.
+    Columns: one x per candidate, the columns of the table the active
+    requests select. Rows: request equalities, then service capacities.
+    Objective sum(K**(-level) * x) over the selected payments' grid levels,
+    so an integral optimum's value is xi_score of the chosen levels. The
+    grid's unselected levels are not read. A frozen assignment naming no
+    request or service of the scenario is a ValueError.
     """
     table = _table(scenario)
     active = sorted(set(active_requests))
@@ -442,18 +434,21 @@ def build_reduced_subproblem_lp(
     overlap = set(frozen) & set(active)
     if overlap:
         raise ValueError(f"requests {sorted(overlap)} are both frozen and active")
+    for n, pair in frozen.items():
+        if not 0 <= n < table.num_requests or table.number(*pair) is None:
+            raise ValueError(f"frozen assignment {n}: {pair} names no request or service of the scenario")
     used = list(frozen.values())
     if len(set(used)) != len(used):
         raise ValueError("frozen assignments collide on a service")
-    columns = table.columns(active, used)
-    requests = table.request[columns]
-    per_request = np.bincount(requests, minlength=table.num_requests)
+    table = table.select(active, used)
+    per_request = np.bincount(table.request, minlength=table.num_requests)
     starved = [n for n in active if per_request[n] == 0]
     if starved:
         raise InfeasibleError(f"no remaining candidate services for requests {starved}")
-    levels = _round_levels(quant.grid, table, columns)[:, 1]
+    levels = _round_levels(quant.grid, table)[:, 1]
 
-    K = objective_base(columns.size, k_override)
+    T = table.request.size
+    K = objective_base(T, k_override)
     deepest = int(-levels.min())
     if deepest * math.log10(K) > MAX_COEFF_EXP10:
         raise ValueError(
@@ -464,31 +459,26 @@ def build_reduced_subproblem_lp(
     # request rows in active order, then one capacity row per used service
     request_row = np.zeros(table.num_requests, dtype=np.int64)
     request_row[active] = np.arange(len(active))
-    flat = table.flat[columns]
     referenced = np.zeros(table.num_services, dtype=bool)
-    referenced[flat] = True
+    referenced[table.flat] = True
     services = referenced.nonzero()[0]
     capacity_row = len(active) - 1 + np.cumsum(referenced)
     num_rows = len(active) + services.size
-    T = columns.size
-    block = BlockEntries(
-        rows=np.concatenate((request_row[requests], capacity_row[flat])),
-        cols=np.arange(2 * T) % T,
-        values=np.ones(2 * T),
-        shape=(num_rows, T),
-    )
     layout = LambdaLayout(
         table=table,
-        columns=columns,
         K=K,
         levels=levels.copy(),
         request_row_ids=tuple(active),
         services=services,
-        block=block,
     )
     lp = StandardLP.from_entries(
         objective=level_objective(levels, K),
-        entries=block,
+        entries=BlockEntries(
+            rows=np.concatenate((request_row[table.request], capacity_row[table.flat])),
+            cols=np.arange(2 * T) % T,
+            values=np.ones(2 * T),
+            shape=(num_rows, T),
+        ),
         relations=("=",) * len(active) + ("<=",) * services.size,
         rhs=np.ones(num_rows),
     )
@@ -556,7 +546,7 @@ def round_to_plan(
         )
     choices: dict[int, tuple[int, int]] = {}
     used = set(frozen.values())
-    for n, i, j in layout.table.triples(layout.columns[rounded == 1]):
+    for n, i, j in layout.table.triples(rounded == 1):
         if n in choices:
             raise InvariantError(f"request {n} selects two services in one round")
         if (i, j) in used:

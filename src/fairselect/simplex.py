@@ -389,10 +389,8 @@ def solve(
     columns first, then slack columns in <=-row order) describing a feasible
     starting basis; phase 1 is skipped if it checks out, and the solver
     silently falls back to the two-phase start if it does not. Without one,
-    an LP whose rows are all <= with a nonnegative right-hand side starts
-    from its slack basis (the identity, so it costs no pivots) through the
-    same path; any other LP gets the two-phase start. An infeasible LP
-    reports the iterations and time phase 1 spent.
+    the LP gets the two-phase start. An infeasible LP reports the iterations
+    and time phase 1 spent.
 
     lex_costs, when given, is a (levels x num_vars) stack of cost rows that
     replaces lp.objective for pricing: columns compare lexicographically
@@ -419,8 +417,6 @@ def solve(
     n_real = n_struct + le_rows.size
     budget = max_iters if max_iters is not None else 5000 + 60 * (m + n_real)
 
-    if initial_basis is None and le_rows.size == m and np.all(lp.rhs >= 0):
-        initial_basis = n_struct + np.arange(m)
     tab: _Tableau | None = None
     feasible = True
     if initial_basis is not None:

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from fairselect import synthetic_qos_matrix, write_scenario
-from fairselect.cli import main
+from fairselect.bench import DEFAULT_LADDER
+from fairselect.cli import _parse_ladder, build_parser, main
+from fairselect.fass import FassConfig
 from fairselect.scenario_io import matrix_to_text
 
 from conftest import make_scenario, two_request_scenario
@@ -277,6 +279,15 @@ def test_usage_errors_exit_3(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 3
+
+
+def test_parser_defaults_are_the_librarys():
+    parser, config = build_parser(), FassConfig()
+    for command in (["solve", "x.json"], ["oracle-check", "x.json"]):
+        args = parser.parse_args(command)
+        assert (args.step, args.range_cap) == (config.step, config.range_cap)
+    args = parser.parse_args(["bench", "--dataset", "d.txt", "--out", "o.csv"])
+    assert _parse_ladder(args.ladder) == list(DEFAULT_LADDER)
 
 
 def test_invariant_failures_exit_4(scenario_file, monkeypatch, capsys):

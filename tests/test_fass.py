@@ -254,7 +254,7 @@ def test_confirmed_rounds_are_what_the_simplex_returns():
             if kept:
                 confirmed += 1
                 assert solution.status == "optimal"
-                assert np.array_equal(layout.columns[np.rint(solution.values) == 1], warm)
+                assert np.array_equal(np.flatnonzero(np.rint(solution.values) == 1), warm)
             return solution
 
         return checked
@@ -334,14 +334,13 @@ def test_pruned_round_lps_keep_the_full_optimum(monkeypatch):
             solution = fass_module._warm_simplex(lp, layout, warm)
             frozen, active, quant = last["round"]
             full_lp, full = build_reduced_subproblem_lp(scenario, frozen, active, quant)
-            position = {t: k for k, t in enumerate(full.triples)}
-            full_warm = full.columns[[position[t] for t in layout.table.triples(warm)]]
+            position = {t: k for k, t in enumerate(full.table.triples())}
+            full_warm = np.array([position[t] for t in layout.table.triples(warm)])
             reference = fass_module._warm_simplex(full_lp, full, full_warm)
             assert selected_levels(layout, solution) == selected_levels(full, reference)
-            table = full.table
-            tau = _brute_bottleneck(table.request[full.columns], table.flat[full.columns], full.levels)
+            tau = _brute_bottleneck(full.table.request, full.table.flat, full.levels)
             assert tau == selected_levels(full, reference)[0]
-            assert layout.num_triples == np.union1d(full.columns[full.levels >= tau], full_warm).size
+            assert layout.num_triples == np.union1d(np.flatnonzero(full.levels >= tau), full_warm).size
             if len(frozen) == 0:
                 first.append((full.num_triples, layout))
             compared += 1
@@ -362,7 +361,7 @@ def test_pruned_round_lps_keep_the_full_optimum(monkeypatch):
         fass_module.freeze_rounds(scenario, FassConfig(), solve_round)
         candidates, layout = first[0]
         start = fass_module.saturating_matching(scenario)
-        assert {(n, i, j) for n, (i, j) in start.items()} <= set(layout.triples)
+        assert {(n, i, j) for n, (i, j) in start.items()} <= set(layout.table.triples())
         widths.append((candidates, layout.num_triples))
     assert compared > len(scenarios) and later > 0
     (ladder_candidates, ladder_columns), (forty_candidates, forty_columns) = widths[-2:]
@@ -459,7 +458,7 @@ def test_each_round_quantizes_its_own_table(monkeypatch):
         return quantize_(table, active, *args, **kwargs)
 
     monkeypatch.setattr(fass_module, "quantize", recording_quantize)
-    fields = ("request", "provider", "service", "pay0", "pay1")
+    fields = ("request", "flat", "pay0", "pay1")
     for scenario in _confirmation_scenarios():
         seen.clear()
         rounds = run_fass(scenario).trace.rounds
@@ -472,9 +471,9 @@ def test_each_round_quantizes_its_own_table(monkeypatch):
             if quantized:
                 table, active = next(calls)
                 assert active == [n for n in range(scenario.num_requests) if n not in frozen]
-                columns = full.columns(active, frozen.values())
+                selected = full.select(active, frozen.values())
                 for field in fields:
-                    assert np.array_equal(getattr(table, field), getattr(full, field)[columns]), field
+                    assert np.array_equal(getattr(table, field), getattr(selected, field)), field
             frozen[record.request_id] = (record.provider_id, record.service_id)
 
 

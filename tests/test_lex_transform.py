@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -222,11 +223,11 @@ def test_reduced_lp_shape_and_offset():
     assert layout.num_triples == 4
     assert layout.K == 4
     assert layout.request_row_ids == (0, 1)
-    assert layout.provider_row_services == ((0, 0), (0, 1))
+    assert layout.table.pairs(layout.services) == [(0, 0), (0, 1)]
     assert lp.num_vars == 4
     assert len(lp.rows) == 4  # 2 request + 2 capacity
     assert lp.objective == pytest.approx(float(layout.K) ** -layout.levels.astype(float))
-    assert layout.levels.tolist() == [quant.grid[t][1] for t in layout.triples]
+    assert layout.levels.tolist() == [quant.grid[t][1] for t in layout.table.triples()]
 
 
 def test_builder_validation():
@@ -250,6 +251,60 @@ def test_builder_validation():
         build_reduced_subproblem_lp(scenario, {}, [0, 1], quant, k_override=1)
 
 
+def test_builder_refuses_a_frozen_assignment_naming_nothing_of_the_scenario():
+    scenario = make_scenario(
+        pools=[[1.0], [2.0]],
+        requests=[({0, 1}, 1.0, 1.0, 2.0), ({0, 1}, 1.0, 1.0, 2.0)],
+    )
+    quant = quantize(scenario, [1])
+    for n, pair in ((0, (5, 7)), (0, (0, 1)), (0, (2, 0)), (0, (-1, 0)), (7, (0, 0)), (-1, (0, 0))):
+        with pytest.raises(ValueError, match=re.escape(f"assignment {n}: {pair} names no request or service")):
+            build_reduced_subproblem_lp(scenario, {n: pair}, [1], quant)
+    # an excluded pair naming no service still excludes nothing
+    assert list(quantize(scenario, [1], excluded_services=[(5, 7)]).grid) == list(quant.grid)
+
+
+def test_select_returns_the_table_itself_when_it_drops_nothing():
+    table = candidate_table(two_request_scenario())
+    assert table.select([1, 0]) is table
+    assert table.select([0, 1], excluded_services=[(5, 7), (0, 2)]) is table
+    part = table.select([0], excluded_services=[(0, 1)])
+    assert part is not table and part.triples() == [(0, 0, 0)]
+    assert part.select([0]) is part
+    with pytest.raises(ValueError, match="unknown request 2"):
+        table.select([2])
+
+
+def test_pairs_inverts_the_service_numbering():
+    with_empty_pool = make_scenario(pools=[[1.0], [], [2.0, 3.0]], requests=[({0, 2}, 1.0, 1.0, 2.0)])
+    for scenario in [with_empty_pool, *feasible_scenarios(random_scenario, 40, seed=47)]:
+        table = candidate_table(scenario)
+        services = [(i, j) for i, pool in enumerate(scenario.providers) for j in range(len(pool))]
+        numbers = [table.pool_start[i] + j for i, j in services]
+        assert numbers == list(range(table.num_services))
+        assert table.pairs(np.array(numbers)) == services
+        assert [table.number(i, j) for i, j in services] == numbers
+
+
+def test_grids_and_layouts_cover_their_whole_table():
+    rng = random.Random(43)
+    for scenario in feasible_scenarios(random_scenario, 40, seed=43):
+        table = candidate_table(scenario)
+        active = sorted(rng.sample(range(scenario.num_requests), scenario.num_requests - 1))
+        quant = quantize(table, active)
+        assert len(quant.grid) == quant.grid.table.request.size
+        assert quant.grid.table.triples() == candidate_triples(scenario, active)
+        lp, layout = build_reduced_subproblem_lp(table, {}, active, quant)
+        assert layout.table.request.size == lp.num_vars == layout.num_triples
+        assert layout.table.triples() == quant.grid.table.triples()
+        # the grid of a subset of its table is that subset's
+        cut = np.array([rng.random() < 0.5 for _ in range(len(quant.grid))])
+        part = quant.grid.take(cut)
+        assert part.table.triples() == [t for t, kept in zip(quant.grid.table.triples(), cut) if kept]
+        assert np.array_equal(part.levels, quant.grid.levels[cut])
+        assert dict(part) == {t: quant.grid[t] for t in part}
+
+
 def test_freezing_away_the_only_candidate_is_infeasible():
     scenario = make_scenario(
         pools=[[1.0], [2.0]],
@@ -265,7 +320,7 @@ def test_stale_grid_is_rejected():
     quant = quantize(scenario, [0])  # grid only covers request 0
     with pytest.raises(ValueError, match="stale"):
         build_reduced_subproblem_lp(scenario, {}, [0, 1], quant)
-    # a LevelGrid over the builder's own table is read by column, not by triple
+    # a grid over a selection of the builder's table covers another table, read by triple
     table = candidate_table(scenario)
     with pytest.raises(ValueError, match="stale"):
         build_reduced_subproblem_lp(table, {}, [0, 1], quantize(table, [0]))
@@ -300,7 +355,7 @@ def coarse_lp(scenario, step=0.5):
 def plan_objective(plan, layout):
     """Scalar objective of an integral plan under a layout's coefficients."""
     total = 0.0
-    for t, (n, i, j) in enumerate(layout.triples):
+    for t, (n, i, j) in enumerate(layout.table.triples()):
         selected = plan.choices.get(n) == (i, j)
         total += float(layout.K) ** -float(layout.levels[t]) if selected else 0.0
     return total
@@ -512,23 +567,23 @@ def test_index_array_lp_matches_a_dense_reference():
             triples, services, matrix, relations, objective, lex = reference_lp(
                 scenario, frozen, active, quant
             )
-            assert layout.triples == tuple(triples)
-            assert layout.provider_row_services == tuple(services)
+            assert layout.table.triples() == triples
+            assert layout.table.pairs(layout.services) == services
             assert np.array_equal(lp.matrix, matrix)
             assert [(list(c), rel, rhs) for c, rel, rhs in lp.rows] == [
                 (list(row), rel, 1.0) for row, rel in zip(matrix, relations)
             ]
             assert np.array_equal(lp.objective, objective)
             assert np.array_equal(layout.lex_cost_rows(), lex)
-            assert verify_row_partition(layout.block, layout.num_request_rows) == (True, None)
-            assert np.array_equal(layout.block.dense(), matrix)
+            assert verify_row_partition(lp.entries, layout.num_request_rows) == (True, None)
+            assert np.array_equal(lp.entries.dense(), matrix)
             rounds += 1
     assert rounds > 150
 
 
 def two_sided_rows(layout, quant):
     """Level rows that also carry the unselected payment: +1 at level1, -1 at level0."""
-    levels = np.array([quant.grid[t] for t in layout.triples])
+    levels = np.array([quant.grid[t] for t in layout.table.triples()])
     deepest = levels.min()
     rows = np.zeros((1 - deepest, layout.num_triples))
     columns = np.arange(layout.num_triples)
@@ -553,9 +608,9 @@ def test_unselected_half_never_decides_a_pivot():
             quant = quantize(scenario, active, step=rng.choice([0.01, 0.3]),
                              range_cap=rng.choice([3, 100]), excluded_services=frozen.values())
             lp, layout = build_reduced_subproblem_lp(scenario, frozen, active, quant)
-            table, columns = layout.table, layout.columns
-            matched = [table.pool_start[i] + j for i, j in (matching[n] for n in table.request[columns])]
-            warm = columns[table.flat[columns] == matched]
+            table = layout.table
+            matched = [table.pool_start[i] + j for i, j in (matching[n] for n in table.request)]
+            warm = np.flatnonzero(table.flat == matched)
             one_sided = layout.lex_cost_rows()
             optima = []
             for basis in (None, _crash_basis(layout, warm)):
@@ -586,7 +641,7 @@ def test_round_objective_is_xi_of_the_selection():
 def test_verify_row_partition_reads_block_entries():
     scenario = two_request_scenario()
     lp, layout = build_reduced_subproblem_lp(scenario, {}, [0, 1], quantize(scenario, [0, 1]))
-    block = layout.block
+    block = lp.entries
     assert verify_row_partition(block, 2) == verify_row_partition(block.dense(), 2) == (True, None)
     # a second 1 for column 2 in request row 0
     doubled = block._replace(

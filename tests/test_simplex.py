@@ -516,6 +516,29 @@ def test_from_entries_rejects_malformed_entries():
 
 
 @given(row_lps(), st.sampled_from(["steepest", "bland"]), st.data())
+def test_cold_start_of_an_all_le_lp_is_its_slack_basis(case, rule, data):
+    # all rows <= with a nonnegative right-hand side: phase 1 needs no
+    # artificial and starts from the slacks, so it is the slack-basis start
+    objective, matrix, _, rhs = case
+    problem = StandardLP.from_entries(objective, BlockEntries.of(matrix), ("<=",) * rhs.size, np.abs(rhs))
+    lex_costs = None
+    if data.draw(st.booleans()):
+        levels = data.draw(st.integers(1, 3))
+        lex_costs = np.array(data.draw(cells([-2.0, -1.0, 0.0, 1.0, 2.0], levels * problem.num_vars)))
+        lex_costs = lex_costs.reshape(levels, problem.num_vars)
+    slacks = problem.num_vars + np.arange(rhs.size)
+    cold, warm = (
+        solve(problem, initial_basis=basis, pivot_rule=rule, lex_costs=lex_costs) for basis in (None, slacks)
+    )
+    assert (cold.status, cold.iterations) == (warm.status, warm.iterations)
+    if cold.values is None:
+        assert warm.values is None
+    else:
+        assert np.array_equal(cold.values, warm.values)
+        assert cold.objective_value == warm.objective_value
+
+
+@given(row_lps(), st.sampled_from(["steepest", "bland"]), st.data())
 def test_phase_one_leaves_phase_two_rows_reduced(case, rule, data):
     # the start basis costs 0 in the phase-2 rows and every phase-1 and
     # drive-out pivot updates them, so solve does not reduce them again
