@@ -28,25 +28,28 @@ changes no level-wise comparison. `run_fass` keeps that selection and
 builds no LP for the round; the simplex, started from it, would make
 only degenerate pivots and return it. Every round reads its step off its
 payment range (grid_step); only a solved round quantizes its whole
-table. A reused round levels just its selection and its lowest payment,
-with the float operations quantize uses, so its record still reports
-the LP it would have solved.
+table. Every round's record levels just its selection and its lowest
+payment, with the float operations quantize uses, so a reused round's
+record still reports the LP it would have solved.
 
 Every round that solves an LP cuts it at the round's bottleneck level tau:
 the highest level at which the round's columns at or above it still assign
 every active request (Garfinkel's bottleneck assignment). `_bottleneck_level`
-finds it by binary search over the distinct levels, between the warm
-selection's lowest level, which that selection shows feasible, and the
-lowest per-request best level, which it probes first; each probe extends
-the last feasible matching, cut to the probe's level, with augmenting
-paths. The LP's table and grid are the round's, narrowed with `take` to
-the columns at or above tau plus the warm selection's, so its crash basis
-is unchanged. The cut is exact: lex_cost_rows minimizes the count at the
-deepest level first, so the LP optimum is leximin-optimal over levels,
-and a matching at or above tau counts 0 below it, so every optimum has
-its lowest level at or above tau and lies inside the cut. The step, the
-base K, the reuse test and every record except lp_cols read the round's
-whole table; only the columns the solver sees shrink.
+finds it in one descent from the lowest per-request best level: it adds
+each request by an augmenting path and drops one level whenever a request
+has none. A failed search proves its level infeasible, as the matched
+requests plus the new one have no matching there (Berge); a matched request
+stays matched and a lower level only adds columns, so the matching carries
+over. At worst that is one failed search per distinct level between tau
+and the start, at most the level cap + 1. The LP's table and grid are the
+round's, narrowed with `take` to the columns at or above tau plus the warm
+selection's, so its crash basis is unchanged. The cut is exact:
+lex_cost_rows minimizes the count at the deepest level first, so the LP
+optimum is leximin-optimal over levels, and a matching at or above tau
+counts 0 below it, so every optimum has its lowest level at or above tau
+and lies inside the cut. The step, the base K, the reuse test and every
+record except lp_cols read the round's whole table; only the columns the
+solver sees shrink.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class RoundRecord:
     step: float  # effective quantization step after doubling, read off the payment range
     doublings: int  # times the requested step was doubled to fit the level range
     # row count of the round's lex_cost_rows: 1 less the level of its lowest
-    # selected payment, which a reused round levels alone, with its selection
+    # selected payment, which every round levels alone, with its selection
     levels: int
     K: int  # objective base of the round, and of the LP it solves
     pricing_ms: float  # simplex time choosing entering columns; 0 in the same rounds
@@ -176,47 +179,38 @@ def _bottleneck_level(
     """Highest level at which the columns at or above it still match every request.
 
     Column t joins request[t] (numbered 0..n-1) to service[t] at levels[t];
-    warm holds the columns of a matching that covers all n requests, so its
-    lowest level is feasible. No level above the lowest per-request best
-    level is, so a binary search over the distinct levels between the two
-    finds the answer; it probes that upper end first. Each probe starts
-    from the last feasible matching, cut to its edges at the probe's level,
-    and extends it with augmenting paths.
+    warm holds the columns of a matching that covers all n requests. One
+    descent starts at the lowest per-request best level, from warm's
+    columns at or above it, adds each unmatched request in id order by an
+    augmenting path and, when one has none, drops to the next lower level.
+    A failed search proves its level infeasible: the matched requests plus
+    this one have no matching there (Berge). A matched request stays
+    matched and a lower level only adds columns, so the matching carries
+    over, and warm's lowest level ends the descent at the latest: at worst
+    one failed search per distinct level between the answer and the start,
+    at most the round's level cap + 1.
     """
     n = warm.size
     order = np.lexsort((-levels, request))  # by request, best level first
     counts = np.bincount(request, minlength=n)
     starts = np.cumsum(counts) - counts
-    low, high = int(levels[warm].min()), int(levels[order[starts]].min())
-    if low == high:
-        return low
+    level = int(levels[order[starts]].min())
     # each request's services, best first, so the columns at or above a level are a prefix
     by_request = service[order].tolist()
     pools = [by_request[start : start + k] for start, k in zip(starts.tolist(), counts.tolist())]
-    owner = dict(zip(service[warm].tolist(), request[warm].tolist()))  # the last feasible matching
 
-    def matches_at(level: int) -> bool:
-        nonlocal owner
+    def pools_at(level: int) -> list[list[int]]:
         reach = np.bincount(request[levels >= level], minlength=n).tolist()
-        cut = [pool[:k] for pool, k in zip(pools, reach)]
-        trial = {s: m for s, m in owner.items() if s in cut[m]}
-        unmatched = set(range(n)).difference(trial.values())
-        if all(_augment(m, cut, trial) for m in sorted(unmatched)):
-            owner = trial
-            return True
-        return False
+        return [pool[:k] for pool, k in zip(pools, reach)]
 
-    if matches_at(high):
-        return high
-    steps = np.unique(levels[(levels >= low) & (levels <= high)]).tolist()  # low, ..., high
-    feasible, infeasible = 0, len(steps) - 1
-    while infeasible - feasible > 1:
-        middle = (feasible + infeasible) // 2
-        if matches_at(steps[middle]):
-            feasible = middle
-        else:
-            infeasible = middle
-    return steps[feasible]
+    cut = pools_at(level)
+    at = warm[levels[warm] >= level]
+    owner = dict(zip(service[at].tolist(), request[at].tolist()))
+    for m in sorted(set(range(n)).difference(owner.values())):
+        while not _augment(m, cut, owner):
+            level = int(levels[levels < level].max())  # the next level down
+            cut = pools_at(level)
+    return level
 
 
 # kept -> None to keep the warm selection, or the round's LP solver:
@@ -278,10 +272,6 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
 
         if solver is None:  # the warm selection is the round's optimum: see the module docstring
             lp_cols, iterations, solve_ms, pricing_ms, pivot_ms, integrality_gap = 0, 0, 0.0, 0.0, 0.0, 0.0
-            # quantize's levels, for the selection and the lowest payment alone
-            top = np.rint(high / step)
-            chosen_levels = np.rint(table.pay1[selected] / step) - top
-            deepest = np.rint(table.pay1.min() / step) - top
         else:
             quant = quantize(table, active, config.step, cap)
             levels = quant.grid.levels[:, 1]
@@ -310,7 +300,7 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
             selected[np.flatnonzero(cut)[rint == 1]] = True
             integrality_gap = float(np.max(np.abs(x_block - rint)))
             round_to_plan(solution, layout, frozen)  # one service per request, none frozen
-            chosen_levels, deepest = levels[selected], levels.min()
+        top = np.rint(high / step)  # the record levels the selection and lowest payment as quantize does
         # the lowest payment, ties to the lowest id; payment_range refused every non-finite payment
         chosen = np.flatnonzero(selected)
         star = chosen[np.lexsort((table.request[chosen], table.pay1[chosen]))[0]]
@@ -334,12 +324,12 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
                 lp_vars=width,
                 lp_rows=len(active) + int(np.count_nonzero(np.bincount(table.flat))),
                 lp_cols=lp_cols,
-                lp_objective=float(level_objective(chosen_levels, K).sum()),
+                lp_objective=float(level_objective(np.rint(table.pay1[selected] / step) - top, K).sum()),
                 solve_ms=solve_ms,
                 iterations=iterations,
                 step=step,
                 doublings=doublings,
-                levels=1 - int(deepest),
+                levels=1 - int(np.rint(table.pay1.min() / step) - top),
                 K=K,
                 pricing_ms=pricing_ms,
                 pivot_ms=pivot_ms,

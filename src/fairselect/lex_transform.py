@@ -246,7 +246,7 @@ def level_objective(levels: np.ndarray, K: int) -> np.ndarray:
 
 
 def effective_range_cap(range_cap: int, num_triples: int, k_base: int | None = None) -> int:
-    """Shrink the level range so K**span stays inside double precision."""
+    """Shrink the level range so K**span stays inside double range (not double precision)."""
     K = objective_base(num_triples, k_base)
     return max(1, min(range_cap, int(300.0 / math.log10(K))))
 
@@ -351,11 +351,19 @@ def _round_levels(grid: Mapping[Triple, tuple[int, int]], table: CandidateTable)
     """(columns, 2) grid levels of a round's table; a column off the grid is a stale grid."""
     if isinstance(grid, LevelGrid) and grid.table is table:
         return grid.levels
-    triples = table.triples()
-    missing = next((t for t in triples if t not in grid), None)
-    if missing is not None:
-        raise ValueError(f"quantization grid does not cover {missing} (stale grid?)")
-    return np.array([grid[t] for t in triples], dtype=np.int64).reshape(-1, 2)
+    if isinstance(grid, LevelGrid) and np.array_equal(grid.table.pool_start, table.pool_start):
+        # read by position: both tables run by request, then service number, so the keys ascend
+        keys, wanted = (t.request * table.num_services + t.flat for t in (grid.table, table))
+        off = np.flatnonzero(~np.isin(wanted, keys))
+        if not off.size:
+            return grid.levels[np.searchsorted(keys, wanted)]
+        missing = table.triples(off[:1])[0]
+    else:
+        triples = table.triples()
+        missing = next((t for t in triples if t not in grid), None)
+        if missing is None:
+            return np.array([grid[t] for t in triples], dtype=np.int64).reshape(-1, 2)
+    raise ValueError(f"quantization grid does not cover {missing} (stale grid?)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,7 +460,7 @@ def build_reduced_subproblem_lp(
     deepest = int(-levels.min())
     if deepest * math.log10(K) > MAX_COEFF_EXP10:
         raise ValueError(
-            f"level span {deepest} with base {K} overflows double precision; "
+            f"level span {deepest} with base {K} overflows double range; "
             f"coarsen the step or lower range_cap"
         )
 

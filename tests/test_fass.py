@@ -411,6 +411,35 @@ def test_bottleneck_level_matches_brute_force():
     assert len(cases) == 5 and min(cases.values()) > 0, cases
 
 
+def test_bottleneck_level_descends_deep_ladders():
+    # 3-6 requests whose levels span 40 or more values; every request is
+    # paid best on a few crowded services, fewer than the requests, and the
+    # rest sit in the lower half, so the descent from the lowest
+    # per-request best level passes many levels in some draws
+    rng = np.random.default_rng(22)
+    deep = collections.Counter()
+    for _ in range(300):
+        n = int(rng.integers(3, 7))
+        crowded, services = int(rng.integers(1, n)), n + int(rng.integers(0, 4))
+        present = rng.random((n, services)) < 0.6
+        present[:, :crowded] = True
+        present[np.arange(n), rng.permutation(services)[:n]] = True  # some saturating matching
+        request, service = np.nonzero(present)
+        depth = int(rng.integers(40, 90))
+        half = depth // 2
+        levels = -np.where(
+            service < crowded, rng.integers(0, half, request.size), rng.integers(half, depth + 1, request.size)
+        )
+        levels[0], levels[-1] = 0, -depth
+        graph = scipy.sparse.csr_matrix(present.astype(float))
+        warm = np.flatnonzero(service == maximum_bipartite_matching(graph, perm_type="column")[request])
+        tau = fass_module._bottleneck_level(request, service, levels, warm)
+        assert tau == _brute_bottleneck(request, service, levels)
+        high = min(levels[request == r].max() for r in range(n))
+        deep[np.unique(levels[(levels > tau) & (levels <= high)]).size >= 10] += 1
+    assert deep[True] > 0 and deep[False] > 0, deep
+
+
 def test_range_cap_counts_each_rounds_candidates(monkeypatch):
     # the engine counts a round's candidates from the round before's; the
     # count must be the round's own, which its record carries as lp_vars

@@ -27,6 +27,7 @@ from fairselect import (
 )
 from fairselect.fass import _crash_basis
 from fairselect.lex_transform import (
+    LevelGrid,
     assignment_block,
     candidate_table,
     candidate_triples,
@@ -324,6 +325,37 @@ def test_stale_grid_is_rejected():
     table = candidate_table(scenario)
     with pytest.raises(ValueError, match="stale"):
         build_reduced_subproblem_lp(table, {}, [0, 1], quantize(table, [0]))
+
+
+def test_scenario_grid_is_read_by_position(monkeypatch):
+    # quantize(scenario) and build_reduced_subproblem_lp(scenario) each build
+    # their own table; the builder reads the grid by position, never by triple,
+    # and gets what the one-table path and the grid's own mapping give
+    rng = random.Random(22)
+    cases = []
+    for scenario in feasible_scenarios(random_scenario, 30, seed=22):
+        table = candidate_table(scenario)
+        everyone = list(range(scenario.num_requests))
+        active, frozen = everyone, {}
+        if len(everyone) > 1:
+            n = rng.choice(everyone)
+            frozen = {n: saturating_matching(scenario)[n]}
+            active = [m for m in everyone if m != n]
+        quant = quantize(scenario, everyone)  # a grid over more columns than the LP
+        lp, layout = build_reduced_subproblem_lp(table, frozen, active, quantize(table, everyone))
+        expected = [quant.grid[t][1] for t in layout.table.triples()]
+        cases.append((scenario, frozen, active, quant, lp, layout, expected))
+
+    def by_triple(grid):
+        raise AssertionError("a scenario's grid was read by triple")
+
+    monkeypatch.setattr(LevelGrid, "_positions", by_triple)
+    for scenario, frozen, active, quant, lp, layout, expected in cases:
+        got_lp, got = build_reduced_subproblem_lp(scenario, frozen, active, quant)
+        assert got.levels.tolist() == layout.levels.tolist() == expected
+        for name in ("rows", "cols", "values"):
+            assert np.array_equal(getattr(got_lp.entries, name), getattr(lp.entries, name))
+    assert any(frozen for _, frozen, *_ in cases)
 
 
 def test_overflow_guard_on_extreme_level_span():
