@@ -1,7 +1,11 @@
 """Reference algorithms the fair engine is benchmarked against.
 
 revenue_max solves the revenue objective as a rectangular assignment
-problem (scipy's sparse Jonker-Volgenant matching). randomized assigns
+problem (scipy's sparse Jonker-Volgenant matching) over a graph built with
+array operations: one index list of every authorized (request, service)
+pair, numbered as scipy's columns, and one vectorized weight expression
+over it. A weight that overflows is refused as a NonFinitePaymentError
+rather than handed to scipy, which would drop its edge. randomized assigns
 services by fair coin, restarting on dead ends. ip_iterative solves every
 freeze round of the fair engine as an explicit integer program; on these
 instances the root relaxation is already integral, so it measures what
@@ -10,6 +14,7 @@ enforcing integrality costs rather than finding different answers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -19,7 +24,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, NonFinitePaymentError
 from .fass import FassConfig, freeze_rounds
 from .model import AssignmentPlan, PaymentVector, Scenario, payment_vector
 from .simplex import INTEGRALITY_TOL, BlockEntries, LPSolution, StandardLP, solve
@@ -62,20 +67,40 @@ def revenue_max(scenario: Scenario) -> AssignmentPlan:
     Payments are a + b - b*q/baseline when served, so maximizing their sum
     is minimizing sum(b*q/baseline) over the chosen pairs: a minimum-weight
     full matching of requests (rows) to services (columns) over the
-    authorized pairs.
+    authorized pairs. Services are numbered across all pools in (provider,
+    service) order, so a request's row lists each allowed provider's range
+    of numbers, and every weight 1 + b*q/baseline is computed at once, in
+    that operation order. A weight that is not finite (b*q can overflow) is
+    a NonFinitePaymentError naming the first such (request, provider,
+    service); scipy would drop the edge and could call the scenario
+    infeasible.
     """
     services = list(scenario.services())
     if scenario.num_requests > len(services):
         raise InfeasibleError("no assignment can serve every request")
-    column = {svc.key: c for c, svc in enumerate(services)}
-    indptr, indices, weights = [0], [], []
-    for n, req in enumerate(scenario.requests):
-        for svc in scenario.candidate_pool(n):
-            indices.append(column[svc.key])
-            # every full matching has one edge per request, so the +1 leaves
-            # the optimum in place; it keeps weights non-zero (zero = no edge)
-            weights.append(1.0 + req.max_bonus * svc.qos / req.qos_baseline)
+    pool_start = [0, *itertools.accumulate(len(pool) for pool in scenario.providers)]
+    indptr, indices, counts = [0], [], []
+    for req in scenario.requests:
+        for i in sorted(req.allowed_providers):
+            indices.extend(range(pool_start[i], pool_start[i + 1]))
+        counts.append(len(indices) - indptr[-1])
         indptr.append(len(indices))
+    indices = np.array(indices, dtype=np.int64)
+    terms = np.array([(req.max_bonus, req.qos_baseline) for req in scenario.requests], dtype=float)
+    # one row per pair; the reshape keeps a scenario without requests two columns wide
+    bonus, baseline = np.repeat(terms.reshape(-1, 2), counts, axis=0).T
+    qos = np.array([svc.qos for svc in services], dtype=float)
+    # every full matching has one edge per request, so the +1 leaves the
+    # optimum in place; it keeps weights non-zero (zero = no edge)
+    with np.errstate(over="ignore"):
+        weights = 1.0 + bonus * qos[indices] / baseline
+    if not np.isfinite(weights).all():
+        t = int(np.flatnonzero(~np.isfinite(weights))[0])
+        candidate = (int(np.searchsorted(indptr, t, side="right")) - 1, *services[indices[t]].key)
+        raise NonFinitePaymentError(
+            f"candidate (request, provider, service) {candidate} has a non-finite revenue weight",
+            candidate,
+        )
     graph = csr_array((weights, indices, indptr), shape=(scenario.num_requests, len(services)))
     try:
         rows, cols = min_weight_full_bipartite_matching(graph)
@@ -83,7 +108,7 @@ def revenue_max(scenario: Scenario) -> AssignmentPlan:
         if "no full matching" not in str(exc):
             raise
         raise InfeasibleError("no assignment can serve every request") from None
-    return AssignmentPlan({int(n): services[c].key for n, c in zip(rows, cols)})
+    return AssignmentPlan({n: services[c].key for n, c in zip(rows.tolist(), cols.tolist())})
 
 
 def randomized(scenario: Scenario, seed: int, max_restarts: int = 1000) -> AssignmentPlan:

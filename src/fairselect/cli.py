@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: solve, oracle-check, sweep, bench, gen. Exit codes: 0 on
-success, 2 infeasible input, 3 malformed input (payments whose sum
-overflows a double included), usage or an out-of-range numeric argument,
-4 internal invariant violation (non-integral LP, broken constraint
-structure, oracle mismatch).
+success, 2 infeasible input, 3 malformed input (a non-finite payment,
+refused by solve before any --algo runs, and payments whose sum overflows
+a double included), usage or an out-of-range numeric argument, 4 internal
+invariant violation (non-integral LP, broken constraint structure, oracle
+mismatch).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     ScenarioFormatError,
 )
 from .fass import FassConfig, run_fass
+from .lex_transform import candidate_table, payment_range
 from .model import payment_vector, total_revenue
 from .oracle import brute_force_mmf
 from .scenario_io import (
@@ -83,6 +85,9 @@ def _parse_ladder(text: str) -> list[int]:
 
 def _cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
+    table = candidate_table(scenario)
+    if table.request.size:  # the engine's refusal of a non-finite payment, for every --algo
+        payment_range(table)
     if args.algo == "fass":
         result = run_fass(scenario, FassConfig(step=args.step, range_cap=args.range_cap))
         plan, payments = result.plan, result.payments

@@ -299,19 +299,46 @@ def grid_step(low: float, high: float, step: float, range_cap: int) -> tuple[flo
     the step. No step spans an infinite or nan bound, and a nan range_cap
     or a zero step would never end the doubling, so all three are a
     ValueError.
+
+    The doubling starts where _fewest_doublings proves every fewer one
+    fails the span test, at math.ldexp(step, d), which equals d doublings
+    exactly; from there the test runs upward as if from step itself.
     """
     if not (math.isfinite(low) and math.isfinite(high)):
         raise ValueError(f"payment range [{low}, {high}] is not finite")
     if step <= 0 or not math.isfinite(step):
         raise ValueError(f"step must be positive, got {step}")
     range_cap = integer_at_least("range_cap", range_cap, 1)
-    effective = float(step)
-    doublings = 0
+    doublings = _fewest_doublings(low, high, step, range_cap)
+    effective = math.ldexp(step, doublings)
     with np.errstate(over="ignore", invalid="ignore"):
         while not (np.rint(high / effective) - np.rint(low / effective) <= range_cap):
             effective *= 2.0
             doublings += 1
     return effective, doublings
+
+
+def _fewest_doublings(low: float, high: float, step: float, range_cap: int) -> int:
+    """A count d of doublings such that grid_step's span test fails at every fewer.
+
+    In exact arithmetic rint(h/e) - rint(l/e) >= (h - l)/e - 1, and a float
+    quotient is off by at most 2**-53 of its value, or 2**-1075 where it is
+    subnormal. So the computed span at step e is at least D/e - 1, D being
+    h - l less 2**-52 * max(|h|, |l|), and it exceeds range_cap while
+    D/e > range_cap + 1. half is a lower bound on D/2: it is computed from
+    h/2 and l/2, which cannot overflow, and subtracts four times D's error
+    term and 2**-1073, which cover the rounding of its own operations. d0,
+    the fewest doublings with D/e <= range_cap + 1, is found in log space,
+    where a subnormal step does not overflow; every count below d0 - 1
+    leaves D/e above 2 * (range_cap + 1), a margin that absorbs the
+    logarithms' rounding.
+    """
+    big = max(abs(low), abs(high))
+    half = (high * 0.5 - low * 0.5) - big * 2.0**-51 - 2.0**-1073
+    if half <= 0.0:
+        return 0
+    d0 = math.ceil(math.log2(half) + 1.0 - math.log2(step) - math.log2(range_cap + 1))
+    return max(0, d0 - 1)
 
 
 def quantize(

@@ -1,9 +1,14 @@
 """Baseline solvers: revenue maximizer, randomized assigner, integer programs."""
 
+import random
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from fairselect import (
     InfeasibleError,
@@ -18,13 +23,17 @@ from fairselect import (
     randomized_mean,
     revenue_max,
     run_fass,
+    synthetic_qos_matrix,
     total_revenue,
 )
+from fairselect.errors import NonFinitePaymentError
 from fairselect.lex_transform import build_reduced_subproblem_lp
+from fairselect.model import AssignmentPlan, Scenario
 from fairselect.simplex import BlockEntries
 
 from conftest import (
     feasible_scenarios,
+    fine_grid_scenario,
     grid_scenario,
     make_scenario,
     random_scenario,
@@ -77,6 +86,71 @@ def test_revenue_max_infeasible():
     )
     with pytest.raises(InfeasibleError):
         revenue_max(narrow)
+
+
+def _pairwise_revenue_max(scenario):
+    """revenue_max with its graph built pair by pair: the reference."""
+    services = list(scenario.services())
+    if scenario.num_requests > len(services):
+        raise InfeasibleError("no assignment can serve every request")
+    column = {svc.key: c for c, svc in enumerate(services)}
+    indptr, indices, weights = [0], [], []
+    for n, req in enumerate(scenario.requests):
+        for svc in scenario.candidate_pool(n):
+            indices.append(column[svc.key])
+            weights.append(1.0 + req.max_bonus * svc.qos / req.qos_baseline)
+        indptr.append(len(indices))
+    graph = csr_array((weights, indices, indptr), shape=(scenario.num_requests, len(services)))
+    try:
+        rows, cols = min_weight_full_bipartite_matching(graph)
+    except ValueError as exc:
+        if "no full matching" not in str(exc):
+            raise
+        raise InfeasibleError("no assignment can serve every request") from None
+    return AssignmentPlan({int(n): services[c].key for n, c in zip(rows, cols)})
+
+
+def _plan_or_error(solver, scenario):
+    try:
+        return solver(scenario).choices
+    except InfeasibleError as error:
+        return type(error)
+
+
+@pytest.mark.parametrize("builder", [random_scenario, grid_scenario, fine_grid_scenario])
+def test_revenue_max_matches_the_pairwise_build(builder):
+    # raw draws, infeasible ones included; grid draws tie on lattice payments,
+    # and each draw is also solved without bonuses, where every weight is 1
+    rng = random.Random(31)
+    for _ in range(300):
+        scenario = builder(rng)
+        flat = Scenario(
+            scenario.providers, [replace(req, max_bonus=0.0) for req in scenario.requests]
+        )
+        for case in (scenario, flat):
+            assert _plan_or_error(revenue_max, case) == _plan_or_error(_pairwise_revenue_max, case)
+
+
+def test_revenue_max_matches_the_pairwise_build_on_the_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    for seed in (1, 2):
+        matrix = synthetic_qos_matrix(seed=seed)
+        for name, count in (("ladder4500", None), ("rounds40", None), ("small-oracle", 200)):
+            workload = workloads.WORKLOADS[name]
+            for index in range(count or workload.scenarios):
+                _, scenario = workloads.generate(workload, matrix, seed, index)
+                assert revenue_max(scenario).choices == _pairwise_revenue_max(scenario).choices
+
+
+def test_revenue_max_refuses_an_infinite_weight():
+    # both weights overflow (1e10 * 1e308, and 2e10 / 1e-300); scipy would
+    # drop both edges and call this feasible scenario infeasible
+    scenario = make_scenario(pools=[[1e308, 2.0]], requests=[({0}, 1.0, 1e10, 1e-300)])
+    with pytest.raises(NonFinitePaymentError) as caught:
+        revenue_max(scenario)
+    assert caught.value.candidate == (0, 0, 0)
 
 
 def test_randomized_is_deterministic_per_seed(canonical):

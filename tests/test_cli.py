@@ -200,7 +200,8 @@ def test_infeasible_scenario_exits_2(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
-def test_non_finite_payment_exits_3_promptly(tmp_path):
+@pytest.mark.parametrize("algo", ["fass", "revmax", "random"])
+def test_non_finite_payment_exits_3_promptly(algo, tmp_path):
     # request 0's qos ratio on the 1e308 service overflows, so its payment
     # there is -inf; a subprocess timeout turns a hang into a failure
     overflow = make_scenario(
@@ -213,7 +214,7 @@ def test_non_finite_payment_exits_3_promptly(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "fairselect", "solve", str(path)],
+        [sys.executable, "-m", "fairselect", "solve", str(path), "--algo", algo],
         env=env,
         capture_output=True,
         text=True,
@@ -225,16 +226,20 @@ def test_non_finite_payment_exits_3_promptly(tmp_path):
 
 
 @pytest.mark.usefixtures("deadline")
-def test_non_finite_payment_names_the_file_ids(tmp_path, capsys):
+@pytest.mark.parametrize("algo", ["fass", "revmax", "random"])
+@pytest.mark.parametrize("bonus", [1.0, 0.0])
+def test_non_finite_payment_names_the_file_ids(bonus, algo, tmp_path, capsys):
     # the overflowing candidate is the library's (0, 1, 0): the file's
-    # request 1 on provider 2's service 1; the deadline turns a hang into a failure
+    # request 1 on provider 2's service 1; the deadline turns a hang into a
+    # failure. Every algorithm refuses it before solving: at bonus 0 the
+    # payment is nan while revmax's weight stays finite
     overflow = make_scenario(
         pools=[[0.5], [1e308, 1.0]],
-        requests=[({1}, 1.0, 1.0, 1e-10), ({1}, 1.0, 1.0, 1.0)],
+        requests=[({1}, 1.0, bonus, 1e-10), ({1}, 1.0, 1.0, 1.0)],
     )
     path = tmp_path / "overflow.json"
     write_scenario(overflow, str(path))
-    assert main(["solve", str(path)]) == 3
+    assert main(["solve", str(path), "--algo", algo]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "non-finite payment" in err
     assert "request 1, provider 2, service 1" in err

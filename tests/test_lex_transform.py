@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -173,6 +174,44 @@ def test_grid_step_matches_quantize():
         if doublings:
             with np.errstate(over="ignore", invalid="ignore"):
                 assert not np.ptp(np.rint(payments / (effective / 2))) <= cap
+
+
+def _doubling_grid_step(low, high, step, range_cap):
+    """grid_step as one doubling at a time from the requested step: the reference."""
+    effective, doublings = float(step), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not (np.rint(high / effective) - np.rint(low / effective) <= range_cap):
+            effective *= 2.0
+            doublings += 1
+    return effective, doublings
+
+
+def test_grid_step_starts_where_the_doubling_would_still_fail():
+    # ranges from adjacent floats to the whole double range, steps down to the
+    # smallest subnormal: the closed-form start must skip only failing steps
+    rng = random.Random(23)
+
+    def bound():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.uniform(-10.0, 10.0)
+        if kind == 1:
+            return round(rng.uniform(0.0, 5.0), rng.randint(0, 4))
+        if kind == 2:
+            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.0)
+        return rng.choice((-1.0, 1.0)) * rng.random() * sys.float_info.max
+
+    for _ in range(3000):
+        low = bound()
+        high = bound()
+        if rng.random() < 0.2:  # a range only a few floats wide
+            high = low
+            for _ in range(rng.randint(0, 3)):
+                high = math.nextafter(high, math.inf)
+        low, high = min(low, high), max(low, high)
+        step = rng.choice((10.0 ** rng.uniform(-310.0, 2.0), 1e-310, 5e-324, 1e-4, 0.01, 1.0))
+        cap = rng.choice((1, 1, 2, 7, 100, 1000, rng.randint(1, 10**6)))
+        assert grid_step(low, high, step, cap) == _doubling_grid_step(low, high, step, cap)
 
 
 @pytest.mark.usefixtures("deadline")

@@ -6,10 +6,12 @@ this script before and after it:
 
     python3 tools/output_digest.py
 
-The digest covers, per scenario, run_fass's plan, payments and every
-RoundRecord field except the timings (solve_ms, pricing_ms, pivot_ms), and,
-where the workload runs it, ip_iterative's plan, branches and nodes. A
-solve that raises contributes its exception type instead. The population:
+The first digest covers, per scenario, run_fass's plan, payments and
+every RoundRecord field except the timings (solve_ms, pricing_ms,
+pivot_ms), and, where the workload runs it, ip_iterative's plan, branches
+and nodes. The second, extended digest covers the same outputs and, for
+every scenario of the population, revenue_max's plan. A solve that raises
+contributes its exception type instead. The population:
 
 - seeds 1 and 2 of perfbench/workloads.generate: every ladder4500 and
   rounds40 scenario and the first 300 small-oracle ones, with ip_iterative
@@ -20,6 +22,11 @@ solve that raises contributes its exception type instead. The population:
 
 Both helper files are imported as they stand and left untouched. Pass
 --verbose to print the solve count per group.
+
+Output, one line per digest:
+
+    <sha256>  <count> outputs
+    <sha256>  <count> outputs with revenue_max
 """
 
 from __future__ import annotations
@@ -74,6 +81,13 @@ def ip_output(scenario) -> tuple:
     return sorted(result.plan.choices.items()), result.branches, result.nodes
 
 
+def revenue_max_output(scenario) -> tuple:
+    result = _outcome(lambda: baselines.revenue_max(scenario))
+    if isinstance(result, str):
+        return (result,)
+    return tuple(sorted(result.choices.items()))
+
+
 def outputs():
     """(group, output) for every solve of the population, in a fixed order."""
     for seed in (1, 2):
@@ -85,26 +99,34 @@ def outputs():
                 yield f"{name}-seed{seed}", fass_output(scenario)
                 if workloads._every(workload.ip_every, index):
                     yield f"{name}-seed{seed}-ip", ip_output(scenario)
+                yield f"{name}-seed{seed}-revmax", revenue_max_output(scenario)
     for builder in CONFTEST_BUILDERS:
         scenarios = conftest.feasible_scenarios(getattr(conftest, builder), CONFTEST_COUNT, seed=0)
         for k, config in enumerate(CONFIGS):
             for scenario in scenarios:
                 yield f"{builder}-config{k}", fass_output(scenario, config)
+        for scenario in scenarios:
+            yield f"{builder}-revmax", revenue_max_output(scenario)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--verbose", action="store_true", help="print the solve count per group")
     args = parser.parse_args(argv)
-    digest = hashlib.sha256()
+    engine, extended = hashlib.sha256(), hashlib.sha256()
     counts: dict[str, int] = {}
     for group, output in outputs():
-        digest.update(repr((group, output)).encode())
+        record = repr((group, output)).encode()
+        if not group.endswith("-revmax"):
+            engine.update(record)
+        extended.update(record)
         counts[group] = counts.get(group, 0) + 1
     if args.verbose:
         for group, count in counts.items():
             print(f"{group}: {count}", file=sys.stderr)
-    print(f"{digest.hexdigest()}  {sum(counts.values())} outputs")
+    revmax = sum(count for group, count in counts.items() if group.endswith("-revmax"))
+    print(f"{engine.hexdigest()}  {sum(counts.values()) - revmax} outputs")
+    print(f"{extended.hexdigest()}  {sum(counts.values())} outputs with revenue_max")
     return 0
 
 
