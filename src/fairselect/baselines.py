@@ -69,11 +69,12 @@ def revenue_max(scenario: Scenario) -> AssignmentPlan:
     full matching of requests (rows) to services (columns) over the
     authorized pairs. Services are numbered across all pools in (provider,
     service) order, so a request's row lists each allowed provider's range
-    of numbers, and every weight 1 + b*q/baseline is computed at once, in
-    that operation order. A weight that is not finite (b*q can overflow) is
-    a NonFinitePaymentError naming the first such (request, provider,
-    service); scipy would drop the edge and could call the scenario
-    infeasible.
+    of numbers, and every weight 1 + b*(q/baseline) is computed at once, in
+    the payment's operation order, so a weight is finite wherever the
+    payment is. A weight that is not finite (q/baseline can overflow, and
+    a zero bonus times inf is nan) is a NonFinitePaymentError naming the
+    first such (request, provider, service); scipy would drop the edge and
+    could call the scenario infeasible.
     """
     services = list(scenario.services())
     if scenario.num_requests > len(services):
@@ -92,8 +93,8 @@ def revenue_max(scenario: Scenario) -> AssignmentPlan:
     qos = np.array([svc.qos for svc in services], dtype=float)
     # every full matching has one edge per request, so the +1 leaves the
     # optimum in place; it keeps weights non-zero (zero = no edge)
-    with np.errstate(over="ignore"):
-        weights = 1.0 + bonus * qos[indices] / baseline
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is nan, as in the payment
+        weights = 1.0 + bonus * (qos[indices] / baseline)
     if not np.isfinite(weights).all():
         t = int(np.flatnonzero(~np.isfinite(weights))[0])
         candidate = (int(np.searchsorted(indptr, t, side="right")) - 1, *services[indices[t]].key)

@@ -311,11 +311,15 @@ def grid_step(low: float, high: float, step: float, range_cap: int) -> tuple[flo
     range_cap = integer_at_least("range_cap", range_cap, 1)
     doublings = _fewest_doublings(low, high, step, range_cap)
     effective = math.ldexp(step, doublings)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while not (np.rint(high / effective) - np.rint(low / effective) <= range_cap):
-            effective *= 2.0
-            doublings += 1
-    return effective, doublings
+    low, high = float(low), float(high)  # python floats overflow to inf without a warning
+    while True:
+        top, bottom = high / effective, low / effective
+        # rint moves a quotient by at most 0.5 and leaves any of 2**52 or more as it
+        # is, so the numpy span overflows where this one is not finite: a failed test
+        if math.isfinite(top - bottom) and np.rint(top) - np.rint(bottom) <= range_cap:
+            return effective, doublings
+        effective *= 2.0
+        doublings += 1
 
 
 def _fewest_doublings(low: float, high: float, step: float, range_cap: int) -> int:

@@ -30,18 +30,28 @@ every other cost entry becomes x - c * 0 == x, so only those columns are
 priced again (on the engine's larger round LPs a mean of a tenth to a
 fifth of them).
 
-Pivot selection defaults to exact steepest-edge pricing (Goldfarb & Reid,
-Math. Prog. 1977; Forrest & Goldfarb, Math. Prog. 1992): among the
-improving columns at the most significant deciding row, enter the one
-whose reduced cost per unit length of its edge, value_j / sqrt(w_j) with
-w_j = 1 + the sum over the constraint rows of T[i, j]^2, is most
-negative, lowest index on ties. The dense tableau holds every column of
-B^-1 A, so the weights need no update formula: each choice sums them for
-its own tied candidates only (on the engine's 40-request round LPs about
-a hundred of some 860 columns), and no weight is kept from one pivot to
-the next, so none can drift. A solve switches permanently to Bland's
-rule once a long degenerate streak is detected, so every solve
-terminates and is deterministic for a fixed input.
+Pivot selection defaults to steepest-edge pricing (Goldfarb & Reid,
+Math. Prog. 1977; Forrest & Goldfarb, Math. Prog. 1992) that prefers a
+non-degenerate step. The improving columns at the most significant
+deciding row are ordered by their reduced cost per unit length of their
+edge, value_j / sqrt(w_j) with w_j = 1 + the sum over the constraint rows
+of T[i, j]^2, most negative first, lowest index on ties; the first of
+them whose ratio test is non-degenerate enters, or the first of all when
+every one is degenerate. Degenerate means an entry above EPS_FEAS in a
+constraint row whose right-hand side is at most 1e-12: the step along
+that edge would be zero, and most steepest-edge pivots on the engine's
+round LPs are such steps. The check runs on growing chunks of that
+order, so it stops soon after it finds one.
+
+On an integral tableau (lex_exact) the weights are kept across pivots:
+one pass computes them when a run starts, and each pivot updates them
+with Forrest & Goldfarb's rank-one formula at the pivot's own cost (the
+rows it touches times the width), exactly, since every quantity is an
+integer. Any other tableau reads fresh lengths off the tableau for its
+tied candidates at each choice: there, kept weights drift and can turn
+negative. A solve switches permanently to Bland's rule once a long
+degenerate streak is detected, so every solve terminates and is
+deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -59,6 +69,11 @@ EPS_FEAS = 1e-9
 INTEGRALITY_TOL = 1e-6
 # any nonzero entry of an exactly maintained integer cost row is >= 1
 EXACT_PRICE_TOL = 0.5
+# a constraint row whose right-hand side is at most this makes a zero step
+DEGENERATE_RHS = 1e-12
+# entries the first chunk of the non-degeneracy check reads: below a few
+# thousand, a numpy call's fixed cost outweighs the reading
+CHUNK_ENTRIES = 4096
 
 Relation = str  # "=" or "<="
 
@@ -220,6 +235,9 @@ class _Tableau:
         self.pivot_s = 0.0
         self.rule = "steepest"
         self._degenerate_streak = 0
+        # steepest-edge weights of the priceable columns, kept across the pivots
+        # of a run on an integral tableau; None elsewhere
+        self.weights: np.ndarray | None = None
 
     def reduce_cost_row(self, which: int) -> None:
         """Reduce cost row `which` for the current basis, in place.
@@ -278,12 +296,14 @@ class _Tableau:
         """Entering column from each column's deciding level and value.
 
         A column is improving when its deciding value is below -price_tol;
-        a column with no deciding level never improves. Steepest edge: among
-        the improving columns of the most significant deciding level, most
-        negative value / sqrt(1 + sum of squares of the column's constraint
-        entries), lowest index on ties; the lengths are read off the
-        tableau for those candidates alone. Bland: lowest improving column
-        index.
+        a column with no deciding level never improves. Steepest edge:
+        order the improving columns of the most significant deciding level
+        by value / sqrt(w), w being 1 + the sum of squares of the column's
+        constraint entries, most negative first and lowest index on ties,
+        and enter the first whose ratio test is non-degenerate, or the
+        first when none is. w comes from the kept weights when run keeps
+        them, and is read off the tableau for those candidates alone
+        otherwise. Bland: lowest improving column index.
         """
         improving = value < -self.price_tol
         if not improving.any():
@@ -293,8 +313,62 @@ class _Tableau:
         top = (improving & (level == level[improving].min())).nonzero()[0]
         if top.size == 1:
             return int(top[0])
-        lengths = np.sqrt(1.0 + np.square(self.T[: self.m, top]).sum(axis=0))
-        return int(top[np.argmin(value[top] / lengths)])
+        if self.weights is not None:
+            weights = self.weights[top]
+        else:
+            weights = 1.0 + np.square(self.T[: self.m, top]).sum(axis=0)
+        order = top[np.argsort(value[top] / np.sqrt(weights), kind="stable")]
+        return self._first_nondegenerate(order)
+
+    def _first_nondegenerate(self, order: np.ndarray) -> int:
+        """First column of order whose ratio test is not degenerate, else order[0].
+
+        A column is degenerate when it has an entry above EPS_FEAS in a
+        constraint row whose right-hand side is at most DEGENERATE_RHS.
+        order is checked in chunks that double in size, the first one
+        reading about CHUNK_ENTRIES entries, so the check reads the tableau
+        only about as far as it must look, in a few numpy calls.
+        """
+        degenerate = (self.T[: self.m, self.n_cols] <= DEGENERATE_RHS).nonzero()[0]
+        if degenerate.size == 0:
+            return int(order[0])
+        rows = degenerate[:, None]
+        start, size = 0, max(1, CHUNK_ENTRIES // degenerate.size)
+        while start < order.size:
+            chunk = order[start : start + size]
+            blocked = (self.T[rows, chunk] > EPS_FEAS).any(axis=0)
+            if not blocked.all():
+                return int(chunk[blocked.argmin()])
+            start += size
+            size *= 2
+        return int(order[0])
+
+    def _edge_weights(self) -> np.ndarray:
+        """1 + the sum of squares of each priceable column's constraint entries, in one pass."""
+        block = self.T[: self.m, : self.n_price]
+        return 1.0 + np.einsum("ij,ij->j", block, block)
+
+    def _update_weights(self, row: int, col: int) -> None:
+        """Carry the kept weights over the pivot on (row, col); call it before the pivot.
+
+        Forrest & Goldfarb's update: with a the pivot element, p the pivot
+        row divided by a and c the pivot column on the other constraint
+        rows it touches, w += p * (p * (|c|^2 + 1 - a^2) - 2 c.T[touched]).
+        Exact while the tableau is integral; a pivot element other than
+        +-1 can make it fractional, and the weights are dropped for the
+        rest of the run.
+        """
+        a = self.T[row, col]
+        if abs(a) != 1.0:
+            self.weights = None
+            return
+        column = self.T[: self.m, col].copy()
+        column[row] = 0.0
+        touched = column.nonzero()[0]
+        c = column[touched]
+        p = self.T[row, : self.n_price] / a
+        cross = c @ self.T[touched, : self.n_price]
+        self.weights += p * (p * (c @ c + 1.0 - a * a) - 2.0 * cross)
 
     def _leaving(self, col: int) -> int | None:
         column = self.T[: self.m, col]
@@ -326,7 +400,9 @@ class _Tableau:
         but only in the columns where the pivot row is nonzero: those are
         priced again and every other column keeps its exact state. Time
         spent choosing entering columns accumulates in pricing_s, ratio
-        tests and pivots in pivot_s.
+        tests and pivots in pivot_s. An integral tableau (lex_exact, priced
+        at EXACT_PRICE_TOL) under steepest edge also keeps its edge weights
+        for the run: one pass computes them, each pivot updates them.
         """
         if not price_rows:
             return "optimal"
@@ -334,31 +410,40 @@ class _Tableau:
         t0 = time.perf_counter()
         costs = self._cost_block(price_rows)  # a view: pivots update it in place
         level, value = _deciding(costs, self.price_tol)
-        while True:
-            col = self._select(level, value)
-            t1 = time.perf_counter()
-            self.pricing_s += t1 - t0
-            if col is None:
-                return "optimal"
-            row = self._leaving(col)
-            if row is None:
-                self.pivot_s += time.perf_counter() - t1
-                return "unbounded"
-            if self.T[row, self.n_cols] <= 1e-12:
-                self._degenerate_streak += 1
-                if self._degenerate_streak > degen_limit:
-                    self.rule = "bland"
-            else:
-                self._degenerate_streak = 0
-            _pivot(self.T, row, col)
-            self.basis[row] = col
-            t0 = time.perf_counter()
-            self.pivot_s += t0 - t1
-            changed = self.T[row, : self.n_price].nonzero()[0]
-            level[changed], value[changed] = _deciding(costs[:, changed], self.price_tol)
-            self.iterations += 1
-            if self.iterations > max_iters:
-                raise InvariantError(f"simplex exceeded {max_iters} iterations (rule {self.rule})")
+        # integral (lex_exact) tableaux keep their weights; Bland needs none
+        keep = self.price_tol == EXACT_PRICE_TOL and self.rule == "steepest"
+        self.weights = self._edge_weights() if keep else None
+        try:
+            while True:
+                col = self._select(level, value)
+                t1 = time.perf_counter()
+                self.pricing_s += t1 - t0
+                if col is None:
+                    return "optimal"
+                row = self._leaving(col)
+                if row is None:
+                    self.pivot_s += time.perf_counter() - t1
+                    return "unbounded"
+                if self.T[row, self.n_cols] <= DEGENERATE_RHS:
+                    self._degenerate_streak += 1
+                    if self._degenerate_streak > degen_limit:
+                        self.rule = "bland"
+                        self.weights = None
+                else:
+                    self._degenerate_streak = 0
+                if self.weights is not None:
+                    self._update_weights(row, col)
+                _pivot(self.T, row, col)
+                self.basis[row] = col
+                t0 = time.perf_counter()
+                self.pivot_s += t0 - t1
+                changed = self.T[row, : self.n_price].nonzero()[0]
+                level[changed], value[changed] = _deciding(costs[:, changed], self.price_tol)
+                self.iterations += 1
+                if self.iterations > max_iters:
+                    raise InvariantError(f"simplex exceeded {max_iters} iterations (rule {self.rule})")
+        finally:
+            self.weights = None  # they describe this run's tableau only
 
 
 def _cost_matrix(lp, lex_costs):
@@ -397,11 +482,14 @@ def solve(
     with row 0 most significant; rows that are all zero are dropped.
     lex_exact asserts that the constraint matrix keeps tableau entries
     integral (true for the selection rows this package builds), enabling
-    exact zero/nonzero pricing thresholds; lp.objective is still what
-    objective_value reports.
+    exact zero/nonzero pricing thresholds and steepest-edge weights kept
+    across pivots by an exact update instead of read off the tableau at
+    each choice; lp.objective is still what objective_value reports.
 
-    pivot_rule is "steepest" (steepest-edge pricing, the default) or
-    "bland" (lowest improving index from the first pivot).
+    pivot_rule is "steepest" (the default: steepest-edge order among the
+    improving columns of the deciding level, the first one whose step is
+    not degenerate entering, see the module docstring) or "bland" (lowest
+    improving index from the first pivot).
     """
     if pivot_rule not in ("steepest", "bland"):
         raise ValueError(f"unknown pivot rule {pivot_rule!r}")

@@ -98,7 +98,7 @@ def _pairwise_revenue_max(scenario):
     for n, req in enumerate(scenario.requests):
         for svc in scenario.candidate_pool(n):
             indices.append(column[svc.key])
-            weights.append(1.0 + req.max_bonus * svc.qos / req.qos_baseline)
+            weights.append(1.0 + req.max_bonus * (svc.qos / req.qos_baseline))
         indptr.append(len(indices))
     graph = csr_array((weights, indices, indptr), shape=(scenario.num_requests, len(services)))
     try:
@@ -145,11 +145,16 @@ def test_revenue_max_matches_the_pairwise_build_on_the_workloads(monkeypatch):
 
 
 def test_revenue_max_refuses_an_infinite_weight():
-    # both weights overflow (1e10 * 1e308, and 2e10 / 1e-300); scipy would
+    # both weights overflow (1e308 / 1e-300, and 1e10 * 2e300); scipy would
     # drop both edges and call this feasible scenario infeasible
     scenario = make_scenario(pools=[[1e308, 2.0]], requests=[({0}, 1.0, 1e10, 1e-300)])
     with pytest.raises(NonFinitePaymentError) as caught:
         revenue_max(scenario)
+    assert caught.value.candidate == (0, 0, 0)
+    # at bonus 0 the payment a + 0 * (1 - inf) is nan, and so is the weight
+    zero_bonus = make_scenario(pools=[[1e308, 2.0]], requests=[({0}, 1.0, 0.0, 1e-300)])
+    with pytest.raises(NonFinitePaymentError) as caught:
+        revenue_max(zero_bonus)
     assert caught.value.candidate == (0, 0, 0)
 
 

@@ -232,7 +232,7 @@ def test_non_finite_payment_names_the_file_ids(bonus, algo, tmp_path, capsys):
     # the overflowing candidate is the library's (0, 1, 0): the file's
     # request 1 on provider 2's service 1; the deadline turns a hang into a
     # failure. Every algorithm refuses it before solving: at bonus 0 the
-    # payment is nan while revmax's weight stays finite
+    # payment is nan (0 * inf)
     overflow = make_scenario(
         pools=[[0.5], [1e308, 1.0]],
         requests=[({1}, 1.0, bonus, 1e-10), ({1}, 1.0, 1.0, 1.0)],
@@ -260,6 +260,18 @@ def test_oracle_check_refuses_non_finite_payments(bonus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "non-finite payment" in err
     assert "request 1, provider 2, service 1" in err
+
+
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("algo", ["fass", "revmax", "random"])
+def test_huge_finite_payment_terms_solve_under_every_algo(algo, tmp_path, capsys):
+    # b * q overflows (1e200 * 2e200), but the payments 1 + b * (1 - q / 1e200)
+    # are finite, and so are the revenue weights 1 + b * (q / 1e200)
+    huge = make_scenario(pools=[[1e200, 2e200]], requests=[({0}, 1.0, 1e200, 1e200)])
+    path = tmp_path / "huge.json"
+    write_scenario(huge, str(path))
+    assert main(["solve", str(path), "--algo", algo]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle-check"])

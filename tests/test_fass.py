@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from fairselect.lex_transform import CandidateTable, candidate_table, candidate_
 
 from conftest import (
     feasible_scenarios,
+    fine_grid_scenario,
     grid_scenario,
     make_scenario,
     random_scenario,
@@ -598,6 +600,41 @@ def test_bland_pivoting_gives_same_payments():
             for solution in (steepest, bland)
         ]
         assert np.allclose(payments[0], payments[1], atol=1e-12)
+
+
+def test_solved_rounds_reach_blands_level_counts(monkeypatch):
+    # steepest edge enters a non-degenerate column where it can, so it may
+    # stop at another optimal corner of a tie than Bland's rule, but each
+    # solved round's selection must count as many columns at every level
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    matrix = synthetic_qos_matrix(seed=1)
+    scenarios = [
+        workloads.generate(workloads.WORKLOADS[name], matrix, 1, index)[1]
+        for name, count in (("ladder4500", 24), ("rounds40", 14), ("small-oracle", 300))
+        for index in range(count)
+    ]
+    for builder in (random_scenario, grid_scenario, fine_grid_scenario):
+        scenarios += feasible_scenarios(builder, 40, seed=0)
+    solved = 0
+
+    def checked_simplex(lp, layout, warm):
+        nonlocal solved
+        costs = layout.lex_cost_rows()
+        steepest = fass_module._warm_simplex(lp, layout, warm)
+        bland = solve(
+            lp, initial_basis=fass_module._crash_basis(layout, warm), pivot_rule="bland",
+            lex_costs=costs, lex_exact=True,
+        )
+        assert steepest.status == bland.status == "optimal"
+        assert np.array_equal(costs @ steepest.values, costs @ bland.values)
+        solved += 1
+        return steepest
+
+    for scenario in scenarios:
+        fass_module.freeze_rounds(scenario, FassConfig(), lambda kept: None if kept else checked_simplex)
+    assert solved > len(scenarios)
 
 
 def test_out_of_range_config_is_rejected():

@@ -12,7 +12,7 @@ from fairselect import (
     StandardLP,
     solve,
 )
-from fairselect.simplex import EPS_FEAS, EXACT_PRICE_TOL, _deciding, _pivot, _Tableau
+from fairselect.simplex import DEGENERATE_RHS, EPS_FEAS, EXACT_PRICE_TOL, _deciding, _pivot, _Tableau
 from fairselect.simplex import BlockEntries, _phase_one
 
 
@@ -274,10 +274,15 @@ def test_all_zero_lex_costs_are_optimal_at_the_start():
 def row_by_row_entering(T, m, n_price, price_rows, rule, tol):
     """Reference pricing: walk the level rows one at a time.
 
-    Steepest edge divides each reduced cost by the length of its column,
-    1 + the sum of squares of its constraint entries, square-rooted.
+    Steepest edge takes the improving columns of the first row that has
+    any, orders them by reduced cost over the length of their edge (the
+    square root of 1 + the sum of squares of the column's constraint
+    entries), lowest index on ties, and enters the first whose ratio test
+    is non-degenerate: no entry above EPS_FEAS in a constraint row whose
+    right-hand side (T's last column) is at most DEGENERATE_RHS. When
+    every one is degenerate, the first enters.
     """
-    lengths = np.sqrt(1.0 + (T[:m, :n_price] ** 2).sum(axis=0))
+    zero_rhs = T[:m, -1] <= DEGENERATE_RHS
     undecided = np.ones(n_price, dtype=bool)
     chosen = None
     for r in price_rows:
@@ -290,7 +295,13 @@ def row_by_row_entering(T, m, n_price, price_rows, rule, tol):
                 if chosen == 0:
                     return 0
             else:
-                return int(np.argmin(np.where(negative, rc / lengths, np.inf)))
+                columns = np.flatnonzero(negative)
+                ratio = rc[columns] / np.sqrt(1.0 + (T[:m, columns] ** 2).sum(axis=0))
+                order = [int(j) for _, j in sorted(zip(ratio, columns))]
+                for j in order:
+                    if not (T[:m, j][zero_rhs] > EPS_FEAS).any():
+                        return j
+                return order[0]
         undecided &= np.abs(rc) <= tol
         if not undecided.any():
             break
@@ -312,7 +323,9 @@ def priced_tableaus(draw):
     costs[draw(st.lists(st.integers(0, levels - 1), max_size=levels))] = 0.0
     costs[:, draw(st.lists(st.integers(0, n_cols - 1), max_size=3))] = 0.0
     n_price = n_cols - draw(st.integers(0, min(2, n_cols - 1)))  # trailing columns play artificials
-    tab = _Tableau(BlockEntries.of(A), np.ones(m), n_price, np.zeros(m), costs, tol)
+    # a zero right-hand side makes its row's entries degenerate
+    b = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=m, max_size=m)))
+    tab = _Tableau(BlockEntries.of(A), b, n_price, np.zeros(m), costs, tol)
     # all rows as in phase 2, or one trailing row as in phase 1
     price_rows = draw(st.sampled_from([range(levels), range(levels - 1, levels)]))
     return tab, price_rows
@@ -329,17 +342,24 @@ def test_one_pass_pricing_matches_row_by_row(priced, rule):
 class _CheckedTableau(_Tableau):
     """Asserts, at every entering-column choice of run, that the maintained state is fresh.
 
-    The chosen column must also be the row-by-row reference's on the
-    current tableau, so the edge lengths it weighs are the current ones.
+    Kept edge weights must equal 1 + the column sums of the squared
+    constraint entries exactly, and the chosen column must be the
+    row-by-row reference's on the current tableau, so the edge lengths it
+    weighs are the current ones.
     """
 
     checked_rows = range(0)
     checks = 0
+    kept_checks = 0
 
     def _select(self, level, value):
         fresh_level, fresh_value = _deciding(self._cost_block(self.checked_rows), self.price_tol)
         assert np.array_equal(level, fresh_level)
         assert np.array_equal(value, fresh_value)
+        if self.weights is not None:
+            fresh_weights = 1.0 + np.square(self.T[: self.m, : self.n_price]).sum(axis=0)
+            assert np.array_equal(self.weights, fresh_weights)
+            self.kept_checks += 1
         chosen = super()._select(level, value)
         assert chosen == row_by_row_entering(
             self.T, self.m, self.n_price, self.checked_rows, self.rule, self.price_tol
@@ -390,6 +410,54 @@ def test_incremental_pricing_never_drifts(tab, rule):
     else:
         assert status in ("optimal", "unbounded")
         assert tab.checks == tab.iterations + 1  # once at the start, then after every pivot
+
+
+@st.composite
+def integral_tableaus(draw):
+    """Slack-basis tableaus over an interval matrix, priced exactly.
+
+    Each column of A holds ones on one run of consecutive rows, so [A | I]
+    is totally unimodular: every basis keeps the tableau integral and
+    every pivot element is +-1, as on the engine's selection rows.
+    """
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 8))
+    A = np.zeros((m, n))
+    for j in range(n):
+        first = draw(st.integers(0, m))
+        A[first : draw(st.integers(first, m)), j] = 1.0
+    b = np.array(draw(cells([0.0, 1.0, 2.0], m)))
+    levels = draw(st.integers(1, 3))
+    costs = np.array(draw(cells([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0], levels * n))).reshape(levels, n)
+    tab = _CheckedTableau(BlockEntries.of(A), b, n + m, n + np.arange(m), costs, EXACT_PRICE_TOL, np.arange(m))
+    tab.checked_rows = range(levels)
+    return tab
+
+
+@given(integral_tableaus())
+def test_kept_weights_equal_fresh_sums_after_every_pivot(tab):
+    # the weights are updated, never recomputed, within a run
+    status = tab.run(tab.checked_rows, max_iters=1000)
+    assert status in ("optimal", "unbounded")
+    assert tab.kept_checks == tab.checks == tab.iterations + 1
+    assert tab.weights is None  # they describe one run's tableau only
+
+
+def test_a_non_degenerate_column_enters_before_a_steeper_degenerate_one():
+    # rows 0 and 2 have rhs 0: columns 2 (-3 / sqrt(3)) and 0 (-2 / sqrt(2))
+    # are steeper than column 1 (-1 / sqrt(2)), but would pivot on one of
+    # them and not move; column 1 moves
+    costs = np.array([[-2.0, -1.0, -3.0]])
+    A = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for tol in (EPS_FEAS, EXACT_PRICE_TOL):
+        tab = _Tableau(BlockEntries.of(A), np.array([0.0, 1.0, 0.0]), 6, [3, 4, 5], costs, tol, [0, 1, 2])
+        assert tab._entering(range(1)) == 1
+        tab.rule = "bland"
+        assert tab._entering(range(1)) == 0
+    # when every improving column is degenerate the steepest enters:
+    # column 2 (-3 / sqrt(3)) over column 0
+    tab = _Tableau(BlockEntries.of(A), np.zeros(3), 6, [3, 4, 5], costs, EXACT_PRICE_TOL, [0, 1, 2])
+    assert tab._entering(range(1)) == 2
 
 
 def per_iteration_run(self, price_rows, max_iters):
