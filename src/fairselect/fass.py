@@ -8,10 +8,10 @@ never decrease by more than one grid step between rounds.
 
 `freeze_rounds` is that loop with the round solver passed in. Each round
 is its own CandidateTable: round 1's is the scenario's candidate table,
-and each freeze narrows it with `take` to the columns of the surviving
-requests on unfrozen services. A round's payments, base K, grid, LP,
-crash basis and plan read-out are all indexed by positions in its table,
-and its selection is one boolean mask over it, narrowed with the table.
+and each later round's holds the surviving requests' columns on unfrozen
+services. A round's payments, base K, grid, LP, crash basis and plan
+read-out are all indexed by positions in its table, and its selection is
+one boolean mask over it, narrowed with the table.
 `run_fass` hands it the simplex warm-started from a known feasible
 matching: round 1 uses the feasibility check's matching, later rounds
 reuse the previous round's selection restricted to the surviving
@@ -31,6 +31,19 @@ payment range (grid_step); only a solved round quantizes its whole
 table. Every round's record levels just its selection and its lowest
 payment, with the float operations quantize uses, so a reused round's
 record still reports the LP it would have solved.
+
+So a selection holds for as long as the step holds: a run of rounds.
+Its rounds freeze the selected columns in (selected payment, request id)
+order, and `_read_off` reads the whole run off the selection in one
+array pass. A column is live until the earlier freeze of its own request
+and of the request holding its service; reverse cumulative counts,
+minima and maxima over the columns, by that last round, give every later
+round its width, payment range, lowest selected payment and service
+count, from which it gets its K, level cap and step through the same
+functions, and its record the same floats, as it would from its own
+table. The walk stops at the first round whose step changes, which
+solves with the figures already computed, and the table is narrowed with
+`take` once per run, not once per freeze.
 
 Every round that solves an LP cuts it at the round's bottleneck level tau:
 the highest level at which the round's columns at or above it still assign
@@ -64,6 +77,7 @@ import numpy as np
 
 from .errors import InfeasibleError, InvariantError
 from .lex_transform import (
+    CandidateTable,
     LambdaLayout,
     build_reduced_subproblem_lp,
     candidate_table,
@@ -213,6 +227,89 @@ def _bottleneck_level(
     return level
 
 
+class _RoundGrid(NamedTuple):
+    K: int  # the round's objective base
+    cap: int  # its level cap
+    step: float  # its effective step
+    doublings: int
+
+
+def _round_grid(config: FassConfig, width: int, low: float, high: float) -> _RoundGrid:
+    """A round's K, level cap and grid step, from its candidate count and payment range."""
+    cap = effective_range_cap(config.range_cap, width, config.k_base)
+    return _RoundGrid(objective_base(width, config.k_base), cap, *grid_step(low, high, config.step, cap))
+
+
+# the work fields of a round that solves nothing
+_UNSOLVED = dict(lp_cols=0, iterations=0, solve_ms=0.0, pricing_ms=0.0, pivot_ms=0.0, max_integrality_gap=0.0)
+
+
+class _Run(NamedTuple):
+    """The rounds that one selection can freeze, round k of the run freezing order[k].
+
+    Column t of the run's first table is live up to round last[t]. The
+    lists give each round k the figures of its own table: its candidate
+    count, payment range, lowest selected payment and service count.
+    """
+
+    order: np.ndarray
+    last: np.ndarray
+    width: list[int]
+    low: list[float]
+    high: list[float]
+    lowest: list[float]
+    services: list[int]
+    payoff: np.ndarray  # the selected payments, in table order
+    position: np.ndarray  # the round that freezes each of them
+
+    def objective(self, k: int, step: float, top: float, K: int) -> float:
+        """Round k's lp_objective: xi of its selection, summed in table order."""
+        return float(level_objective(np.rint(self.payoff[self.position >= k] / step) - top, K).sum())
+
+
+def _read_off(table: CandidateTable, selected: np.ndarray) -> _Run:
+    """Every round the selection can freeze, read off its table in one array pass.
+
+    The rounds freeze the selected columns in (selected payment, request
+    id) order; each keeps the rest of the selection, which uses neither
+    the frozen request nor its service. A column is live up to the earlier
+    freeze of two requests: its own, and the one holding its service (a
+    service nobody holds outlives every round). Round k's table is then
+    the columns live at k, in table order, and its figures are reverse
+    cumulative counts, minima and maxima over the columns by last round.
+    """
+    chosen = np.flatnonzero(selected)
+    order = chosen[np.lexsort((table.request[chosen], table.pay1[chosen]))]
+    rounds = order.size
+    freeze = np.zeros(table.num_requests, dtype=np.int64)
+    freeze[table.request[order]] = np.arange(rounds)
+    holder = np.full(table.num_services, rounds, dtype=np.int64)
+    holder[table.flat[order]] = np.arange(rounds)
+    last = np.minimum(freeze[table.request], holder[table.flat])
+
+    def onward(ends: np.ndarray) -> list[int]:  # how many of the ends are at or after each round
+        return np.bincount(ends, minlength=rounds)[::-1].cumsum()[::-1].tolist()
+
+    def extreme(ufunc: np.ufunc, values: np.ndarray, start: float) -> list[float]:
+        per_round = np.full(rounds, start)
+        ufunc.at(per_round, last, values)
+        return ufunc.accumulate(per_round[::-1])[::-1].tolist()
+
+    service_last = np.full(table.num_services, -1, dtype=np.int64)
+    np.maximum.at(service_last, table.flat, last)
+    return _Run(
+        order=order,
+        last=last,
+        width=onward(last),
+        low=extreme(np.minimum, np.minimum(table.pay0, table.pay1), np.inf),
+        high=extreme(np.maximum, np.maximum(table.pay0, table.pay1), -np.inf),
+        lowest=extreme(np.minimum, table.pay1, np.inf),
+        services=onward(service_last[service_last >= 0]),
+        payoff=table.pay1[chosen],
+        position=freeze[table.request[chosen]],
+    )
+
+
 # kept -> None to keep the warm selection, or the round's LP solver:
 # (lp, layout, warm selection as ascending positions in layout.table) -> optimal solution
 RoundSolver = Callable[[bool], Callable[[StandardLP, LambdaLayout, np.ndarray], LPSolution] | None]
@@ -243,6 +340,12 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
     own candidate table, which holds just those columns. A solution that
     is not optimal is an invariant violation, because a saturating
     matching exists.
+
+    Rounds go by runs: a run's first round fixes the selection (solving,
+    unless solve_round says to keep it), and the rounds after it that
+    keep it are read off it in one pass (_read_off) until the first
+    round solve_round hands a solver, which starts the next run. Every
+    round still gets its own K, level cap and step, each computed once.
     """
     if scenario.num_requests == 0:
         raise ValueError("scenario has no requests")
@@ -261,27 +364,22 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
     prev_payment: float | None = None
     prev_step = 0.0
     t_start = time.perf_counter()
+    # payment_range names a non-finite payment here, where the table holds every candidate
+    grid = _round_grid(config, table.request.size, *payment_range(table))
+    solver = solve_round(grid.step == prev_step)
 
-    for round_index in range(1, scenario.num_requests + 1):
-        width = table.request.size
-        K = objective_base(width, config.k_base)
-        cap = effective_range_cap(config.range_cap, width, config.k_base)
-        low, high = payment_range(table)  # names a non-finite payment in round 1, whose table holds them all
-        step, doublings = grid_step(low, high, config.step, cap)
-        solver = solve_round(step == prev_step)
-
-        if solver is None:  # the warm selection is the round's optimum: see the module docstring
-            lp_cols, iterations, solve_ms, pricing_ms, pivot_ms, integrality_gap = 0, 0, 0.0, 0.0, 0.0, 0.0
-        else:
-            quant = quantize(table, active, config.step, cap)
+    while True:  # one run: its first round, then the rounds that keep its selection
+        work = _UNSOLVED
+        if solver is not None:
+            quant = quantize(table, active, config.step, grid.cap)
             levels = quant.grid.levels[:, 1]
             # the LP holds the columns at or above the round's bottleneck level, and the selection's
             rank = np.searchsorted(active, table.request)  # active stays ascending
             cut = levels >= _bottleneck_level(rank, table.flat, levels, np.flatnonzero(selected))
             cut |= selected
-            grid = quant.grid.take(cut)
+            lp_grid = quant.grid.take(cut)
             lp, layout = build_reduced_subproblem_lp(
-                grid.table, frozen, active, dataclasses.replace(quant, grid=grid), k_override=K
+                lp_grid.table, frozen, active, dataclasses.replace(quant, grid=lp_grid), k_override=grid.K
             )
             ok, bad_col = verify_row_partition(lp.entries, layout.num_request_rows)
             if not ok:
@@ -291,57 +389,67 @@ def freeze_rounds(scenario: Scenario, config: FassConfig, solve_round: RoundSolv
             solve_ms = (time.perf_counter() - t0) * 1000.0
             if solution.status != "optimal":
                 # a saturating matching exists, so the LP cannot be infeasible or unbounded
-                raise InvariantError(f"round {round_index} LP came back {solution.status}")
-            lp_cols = layout.num_triples
-            iterations, pricing_ms, pivot_ms = solution.iterations, solution.pricing_ms, solution.pivot_ms
+                raise InvariantError(f"round {len(records) + 1} LP came back {solution.status}")
             x_block = solution.values[: layout.num_triples]
             rint = np.rint(x_block)
-            selected = np.zeros(width, dtype=bool)
+            selected = np.zeros(table.request.size, dtype=bool)
             selected[np.flatnonzero(cut)[rint == 1]] = True
-            integrality_gap = float(np.max(np.abs(x_block - rint)))
-            round_to_plan(solution, layout, frozen)  # one service per request, none frozen
-        top = np.rint(high / step)  # the record levels the selection and lowest payment as quantize does
-        # the lowest payment, ties to the lowest id; payment_range refused every non-finite payment
-        chosen = np.flatnonzero(selected)
-        star = chosen[np.lexsort((table.request[chosen], table.pay1[chosen]))[0]]
-        n_star, payment = int(table.request[star]), float(table.pay1[star])
-        choice = table.pairs(table.flat[star : star + 1])[0]
-
-        if prev_payment is not None and payment < prev_payment - (max(step, prev_step) + 1e-9):
-            raise InvariantError(
-                f"frozen payment dropped from {prev_payment} to {payment} (more than one grid step)"
-            )
-        prev_payment = payment
-        prev_step = step
-
-        records.append(
-            RoundRecord(
-                round_index=round_index,
-                request_id=n_star,
-                provider_id=choice[0],
-                service_id=choice[1],
-                payment=payment,
-                lp_vars=width,
-                lp_rows=len(active) + int(np.count_nonzero(np.bincount(table.flat))),
-                lp_cols=lp_cols,
-                lp_objective=float(level_objective(np.rint(table.pay1[selected] / step) - top, K).sum()),
+            work = dict(
+                lp_cols=layout.num_triples,
+                iterations=solution.iterations,
                 solve_ms=solve_ms,
-                iterations=iterations,
-                step=step,
-                doublings=doublings,
-                levels=1 - int(np.rint(table.pay1.min() / step) - top),
-                K=K,
-                pricing_ms=pricing_ms,
-                pivot_ms=pivot_ms,
-                max_integrality_gap=integrality_gap,
+                pricing_ms=solution.pricing_ms,
+                pivot_ms=solution.pivot_ms,
+                max_integrality_gap=float(np.max(np.abs(x_block - rint))),
             )
-        )
-        frozen[n_star] = choice
-        active.remove(n_star)
-        if active:  # the next round's table: this round's, less the frozen request and service
-            survives = (table.request != n_star) & (table.flat != table.flat[star])
-            selected = selected[survives]
-            table = table.take(survives)
+            round_to_plan(solution, layout, frozen)  # one service per request, none frozen
+
+        run = _read_off(table, selected)
+        grids = [grid]
+        for k in range(1, run.order.size):  # walk on while the rounds keep the selection
+            grid = _round_grid(config, run.width[k], run.low[k], run.high[k])
+            solver = solve_round(grid.step == grids[-1].step)
+            if solver is not None:
+                break
+            grids.append(grid)
+
+        choices = table.pairs(table.flat[run.order[: len(grids)]])
+        for k, (round_grid, choice) in enumerate(zip(grids, choices)):
+            star = run.order[k]  # the lowest selected payment, ties to the lowest id
+            n_star, payment = int(table.request[star]), float(table.pay1[star])
+            if prev_payment is not None and payment < prev_payment - (max(round_grid.step, prev_step) + 1e-9):
+                raise InvariantError(
+                    f"frozen payment dropped from {prev_payment} to {payment} (more than one grid step)"
+                )
+            prev_payment = payment
+            prev_step = round_grid.step
+            # the record levels the selection and lowest payment as quantize does
+            top = np.rint(run.high[k] / round_grid.step)
+            records.append(
+                RoundRecord(
+                    round_index=len(records) + 1,
+                    request_id=n_star,
+                    provider_id=choice[0],
+                    service_id=choice[1],
+                    payment=payment,
+                    lp_vars=run.width[k],
+                    lp_rows=len(active) + run.services[k],
+                    lp_objective=run.objective(k, round_grid.step, top, round_grid.K),
+                    step=round_grid.step,
+                    doublings=round_grid.doublings,
+                    levels=1 - int(np.rint(run.lowest[k] / round_grid.step) - top),
+                    K=round_grid.K,
+                    **(work if k == 0 else _UNSOLVED),
+                )
+            )
+            frozen[n_star] = choice
+            active.remove(n_star)
+        if not active:
+            break
+        # the next run's table: this one's, less the requests and services its rounds froze
+        live = run.last >= len(grids)
+        selected = selected[live]
+        table = table.take(live)
 
     plan = AssignmentPlan(frozen)
     violations = check_feasible(plan, scenario)

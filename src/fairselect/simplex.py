@@ -41,7 +41,14 @@ every one is degenerate. Degenerate means an entry above EPS_FEAS in a
 constraint row whose right-hand side is at most 1e-12: the step along
 that edge would be zero, and most steepest-edge pivots on the engine's
 round LPs are such steps. The check runs on growing chunks of that
-order, so it stops soon after it finds one.
+order, so it stops soon after it finds one. Past the first chunk it
+keeps each column's answer across the pivots of a run, until a pivot
+changes the column or one of the rows it has an entry above EPS_FEAS
+in enters or leaves the degenerate set: on large LPs, whose checks
+often read every tied column and find none, that saves rereading
+hundreds of degenerate rows per check. The first chunk is read fresh,
+so an LP whose candidates fit in it, like most of the engine's round
+LPs, pays nothing for the bookkeeping.
 
 On an integral tableau (lex_exact) the weights are kept across pivots:
 one pass computes them when a run starts, and each pivot updates them
@@ -238,6 +245,10 @@ class _Tableau:
         # steepest-edge weights of the priceable columns, kept across the pivots
         # of a run on an integral tableau; None elsewhere
         self.weights: np.ndarray | None = None
+        # the non-degeneracy check's answers past its first chunk, kept across the
+        # pivots of a run, and the degenerate rows they were read under; None elsewhere
+        self._answers: np.ndarray | None = None
+        self._answer_rows: np.ndarray | None = None
 
     def reduce_cost_row(self, which: int) -> None:
         """Reduce cost row `which` for the current basis, in place.
@@ -286,7 +297,9 @@ class _Tableau:
         """
         if not price_rows:
             return None
-        return self._select(*_deciding(self._cost_block(price_rows), self.price_tol))
+        col = self._select(*_deciding(self._cost_block(price_rows), self.price_tol))
+        self._answers = None  # only run marks the columns its pivots change
+        return col
 
     def _cost_block(self, price_rows: range) -> np.ndarray:
         """View of the priced cost rows over the columns eligible to enter."""
@@ -328,20 +341,48 @@ class _Tableau:
         order is checked in chunks that double in size, the first one
         reading about CHUNK_ENTRIES entries, so the check reads the tableau
         only about as far as it must look, in a few numpy calls.
+
+        The first chunk is read fresh. Past it, each column's answer is
+        kept for the run (_answers: 1 degenerate, 0 not, -1 unknown) until
+        a pivot changes the column, which run marks, or a row whose
+        entry in it is above EPS_FEAS enters or leaves the degenerate set,
+        which _sync_answers checks against the set the answers were read
+        under. Where the first chunk holds every candidate, as on most
+        round LPs, the check costs no more than a fresh read: the run
+        starts no cache and marks nothing.
         """
         degenerate = (self.T[: self.m, self.n_cols] <= DEGENERATE_RHS).nonzero()[0]
         if degenerate.size == 0:
             return int(order[0])
         rows = degenerate[:, None]
-        start, size = 0, max(1, CHUNK_ENTRIES // degenerate.size)
+        size = max(1, CHUNK_ENTRIES // degenerate.size)
+        blocked = (self.T[rows, order[:size]] > EPS_FEAS).any(axis=0)
+        if not blocked.all():
+            return int(order[blocked.argmin()])
+        answers = self._sync_answers(degenerate)
+        start, size = size, 2 * size
         while start < order.size:
             chunk = order[start : start + size]
-            blocked = (self.T[rows, chunk] > EPS_FEAS).any(axis=0)
-            if not blocked.all():
-                return int(chunk[blocked.argmin()])
+            known = answers[chunk]
+            unknown = chunk[known < 0]
+            if unknown.size:
+                answers[unknown] = (self.T[rows, unknown] > EPS_FEAS).any(axis=0)
+                known = answers[chunk]
+            if not known.all():
+                return int(chunk[known.argmin()])
             start += size
             size *= 2
         return int(order[0])
+
+    def _sync_answers(self, degenerate: np.ndarray) -> np.ndarray:
+        """The kept answers, valid for the degenerate rows given; started on first use in a run."""
+        if self._answers is None:
+            self._answers = np.full(self.n_price, -1, dtype=np.int8)
+        elif not np.array_equal(degenerate, self._answer_rows):
+            moved = np.setxor1d(degenerate, self._answer_rows, assume_unique=True)
+            self._answers[(self.T[moved, : self.n_price] > EPS_FEAS).any(axis=0)] = -1
+        self._answer_rows = degenerate
+        return self._answers
 
     def _edge_weights(self) -> np.ndarray:
         """1 + the sum of squares of each priceable column's constraint entries, in one pass."""
@@ -439,11 +480,13 @@ class _Tableau:
                 self.pivot_s += t0 - t1
                 changed = self.T[row, : self.n_price].nonzero()[0]
                 level[changed], value[changed] = _deciding(costs[:, changed], self.price_tol)
+                if self._answers is not None:
+                    self._answers[changed] = -1
                 self.iterations += 1
                 if self.iterations > max_iters:
                     raise InvariantError(f"simplex exceeded {max_iters} iterations (rule {self.rule})")
         finally:
-            self.weights = None  # they describe this run's tableau only
+            self.weights = self._answers = None  # they describe this run's tableau only
 
 
 def _cost_matrix(lp, lex_costs):

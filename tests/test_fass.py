@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from fairselect import (
     write_trace_csv,
 )
 import fairselect.fass as fass_module
+import fairselect.simplex as simplex_module
 from fairselect.lex_transform import CandidateTable, candidate_table, candidate_triples, round_to_plan
 
 from conftest import (
@@ -508,8 +510,216 @@ def test_each_round_quantizes_its_own_table(monkeypatch):
             frozen[record.request_id] = (record.provider_id, record.service_id)
 
 
+def _per_round_freeze_rounds(scenario, config, solve_round):
+    """The engine loop one round at a time, each narrowing its own table: the read-off's reference.
+
+    freeze_rounds as it was before runs of rounds were read off one
+    selection; every round takes its table, scans its payment range and
+    builds its record itself.
+    """
+    if scenario.num_requests == 0:
+        raise ValueError("scenario has no requests")
+    matching = fass_module.saturating_matching(scenario)
+    if matching is None:
+        raise InfeasibleError("no assignment can serve every request")
+
+    table = fass_module.candidate_table(scenario)  # round 1's: every candidate
+    matched = np.full(scenario.num_requests, -1, dtype=np.int64)
+    for n, (i, j) in matching.items():
+        matched[n] = table.pool_start[i] + j
+    selected = table.flat == matched[table.request]  # the round's selection, over its table
+    active = list(range(scenario.num_requests))
+    frozen = {}
+    records = []
+    prev_payment = None
+    prev_step = 0.0
+    t_start = time.perf_counter()
+
+    for round_index in range(1, scenario.num_requests + 1):
+        width = table.request.size
+        K = fass_module.objective_base(width, config.k_base)
+        cap = fass_module.effective_range_cap(config.range_cap, width, config.k_base)
+        low, high = fass_module.payment_range(table)  # names a non-finite payment in round 1, whose table holds them all
+        step, doublings = fass_module.grid_step(low, high, config.step, cap)
+        solver = solve_round(step == prev_step)
+
+        if solver is None:  # the warm selection is the round's optimum: see the module docstring
+            lp_cols, iterations, solve_ms, pricing_ms, pivot_ms, integrality_gap = 0, 0, 0.0, 0.0, 0.0, 0.0
+        else:
+            quant = fass_module.quantize(table, active, config.step, cap)
+            levels = quant.grid.levels[:, 1]
+            # the LP holds the columns at or above the round's bottleneck level, and the selection's
+            rank = np.searchsorted(active, table.request)  # active stays ascending
+            cut = levels >= fass_module._bottleneck_level(rank, table.flat, levels, np.flatnonzero(selected))
+            cut |= selected
+            grid = quant.grid.take(cut)
+            lp, layout = fass_module.build_reduced_subproblem_lp(
+                grid.table, frozen, active, dataclasses.replace(quant, grid=grid), k_override=K
+            )
+            ok, bad_col = fass_module.verify_row_partition(lp.entries, layout.num_request_rows)
+            if not ok:
+                raise fass_module.InvariantError(f"selection rows lost their two-block structure at column {bad_col}")
+            t0 = time.perf_counter()
+            solution = solver(lp, layout, np.flatnonzero(selected[cut]))
+            solve_ms = (time.perf_counter() - t0) * 1000.0
+            if solution.status != "optimal":
+                # a saturating matching exists, so the LP cannot be infeasible or unbounded
+                raise fass_module.InvariantError(f"round {round_index} LP came back {solution.status}")
+            lp_cols = layout.num_triples
+            iterations, pricing_ms, pivot_ms = solution.iterations, solution.pricing_ms, solution.pivot_ms
+            x_block = solution.values[: layout.num_triples]
+            rint = np.rint(x_block)
+            selected = np.zeros(width, dtype=bool)
+            selected[np.flatnonzero(cut)[rint == 1]] = True
+            integrality_gap = float(np.max(np.abs(x_block - rint)))
+            fass_module.round_to_plan(solution, layout, frozen)  # one service per request, none frozen
+        top = np.rint(high / step)  # the record levels the selection and lowest payment as quantize does
+        # the lowest payment, ties to the lowest id; payment_range refused every non-finite payment
+        chosen = np.flatnonzero(selected)
+        star = chosen[np.lexsort((table.request[chosen], table.pay1[chosen]))[0]]
+        n_star, payment = int(table.request[star]), float(table.pay1[star])
+        choice = table.pairs(table.flat[star : star + 1])[0]
+
+        if prev_payment is not None and payment < prev_payment - (max(step, prev_step) + 1e-9):
+            raise fass_module.InvariantError(
+                f"frozen payment dropped from {prev_payment} to {payment} (more than one grid step)"
+            )
+        prev_payment = payment
+        prev_step = step
+
+        records.append(
+            fass_module.RoundRecord(
+                round_index=round_index,
+                request_id=n_star,
+                provider_id=choice[0],
+                service_id=choice[1],
+                payment=payment,
+                lp_vars=width,
+                lp_rows=len(active) + int(np.count_nonzero(np.bincount(table.flat))),
+                lp_cols=lp_cols,
+                lp_objective=float(fass_module.level_objective(np.rint(table.pay1[selected] / step) - top, K).sum()),
+                solve_ms=solve_ms,
+                iterations=iterations,
+                step=step,
+                doublings=doublings,
+                levels=1 - int(np.rint(table.pay1.min() / step) - top),
+                K=K,
+                pricing_ms=pricing_ms,
+                pivot_ms=pivot_ms,
+                max_integrality_gap=integrality_gap,
+            )
+        )
+        frozen[n_star] = choice
+        active.remove(n_star)
+        if active:  # the next round's table: this round's, less the frozen request and service
+            survives = (table.request != n_star) & (table.flat != table.flat[star])
+            selected = selected[survives]
+            table = table.take(survives)
+
+    plan = fass_module.AssignmentPlan(frozen)
+    violations = fass_module.check_feasible(plan, scenario)
+    if violations:
+        raise fass_module.InvariantError(f"engine produced an infeasible plan: {violations[0].detail}")
+    total_ms = (time.perf_counter() - t_start) * 1000.0
+    return fass_module.FassResult(
+        plan=plan,
+        payments=fass_module.payment_vector(plan, scenario),
+        trace=fass_module.FassTrace(rounds=tuple(records), total_ms=total_ms),
+    )
+
+
+def _untimed(result):
+    # a result's plan, payments and records, with the timings zeroed
+    timings = {"solve_ms": 0.0, "pricing_ms": 0.0, "pivot_ms": 0.0}
+    records = [dataclasses.replace(r, **timings) for r in result.trace.rounds]
+    return result.plan.choices, result.payments.per_request, records
+
+
+def _workload_scenarios(monkeypatch, counts):
+    """Seed-1 perfbench scenarios: the first count of each named workload."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    matrix = synthetic_qos_matrix(seed=1)
+    return [
+        workloads.generate(workloads.WORKLOADS[name], matrix, 1, index)[1]
+        for name, count in counts
+        for index in range(count)
+    ]
+
+
+def _step_change_scenario():
+    """Four requests sharing one provider's five services; the payment range shrinks as they freeze.
+
+    Round 1 spans payments 0.55..3.1 at step 0.04; round 2 keeps that step
+    and the selection, and round 3, once 0.5 and 0.6 base requests are
+    frozen, coarsens less (step 0.02), so it solves in the middle of what
+    would otherwise be round 1's run.
+    """
+    return make_scenario(
+        pools=[[0.2, 0.5, 0.8, 0.9, 0.3]],
+        requests=[({0}, 0.5, 0.1, 1.0), ({0}, 0.6, 0.1, 1.0), ({0}, 2.0, 0.1, 1.0), ({0}, 3.0, 0.1, 1.0)],
+    )
+
+
+def test_step_change_scenario_ends_a_run_early():
+    rounds = run_fass(_step_change_scenario()).trace.rounds
+    assert [(r.step, r.lp_cols > 0) for r in rounds] == [(0.04, True), (0.04, False), (0.02, True), (0.01, True)]
+
+
+def test_runs_read_off_the_per_round_records(monkeypatch):
+    # every output but the timings equals the per-round loop's, on runs
+    # of reused rounds and, solving every round, on runs of one round
+    pinned = FassConfig(step=1e-4, range_cap=1000, k_base=2)
+    cases = [
+        (scenario, config)
+        for builder in (random_scenario, grid_scenario, fine_grid_scenario)
+        for scenario in feasible_scenarios(builder, 60, seed=0)
+        for config in (FassConfig(), pinned)
+    ]
+    workload = _workload_scenarios(monkeypatch, (("ladder4500", 24), ("rounds40", 14), ("small-oracle", 300)))
+    cases += [(scenario, FassConfig()) for scenario in (*workload, _step_change_scenario())]
+    def reuse(kept):
+        return None if kept else fass_module._warm_simplex
+
+    def solve_all(kept):
+        return fass_module._warm_simplex
+
+    reused = 0
+    for k, (scenario, config) in enumerate(cases):
+        fast = _untimed(run_fass(scenario, config))
+        assert fast == _untimed(_per_round_freeze_rounds(scenario, config, reuse))
+        reused += sum(r.lp_cols == 0 for r in fast[2])
+        if k % 10 == 0:  # every round solved: runs of one round
+            assert _untimed(fass_module.freeze_rounds(scenario, config, solve_all)) == _untimed(
+                _per_round_freeze_rounds(scenario, config, solve_all)
+            )
+    assert reused > len(cases)
+
+
+def test_a_one_column_first_chunk_changes_no_output(monkeypatch):
+    # past its first chunk the non-degeneracy check reads the answers it
+    # kept; with a first chunk of one column most checks do, and every
+    # output and pivot count stays the default's
+    scenarios = _workload_scenarios(monkeypatch, (("rounds40", 14),))
+    default = [_untimed(run_fass(scenario)) for scenario in scenarios]
+    reused = 0
+    sync = simplex_module._Tableau._sync_answers
+
+    def counting_sync(self, degenerate):
+        nonlocal reused
+        reused += self._answers is not None
+        return sync(self, degenerate)
+
+    monkeypatch.setattr(simplex_module._Tableau, "_sync_answers", counting_sync)
+    monkeypatch.setattr(simplex_module, "CHUNK_ENTRIES", 1)
+    assert [_untimed(run_fass(scenario)) for scenario in scenarios] == default
+    assert reused > 0
+
+
 def test_tables_are_narrowed_only_for_a_round_that_follows(monkeypatch):
-    # one take per freeze that leaves a request, plus one per solved round's LP cut
+    # one take per solved round's LP cut, plus one per run of rounds that
+    # leaves a request: run_fass's runs each start with a solved round
     calls = []
     take = CandidateTable.take
 
@@ -521,7 +731,8 @@ def test_tables_are_narrowed_only_for_a_round_that_follows(monkeypatch):
     for scenario in _confirmation_scenarios():
         calls.clear()
         rounds = run_fass(scenario).trace.rounds
-        assert len(calls) == scenario.num_requests - 1 + sum(r.lp_cols > 0 for r in rounds)
+        solved = sum(r.lp_cols > 0 for r in rounds)
+        assert len(calls) == 2 * solved - 1
 
 
 def test_solved_rounds_build_their_lp_on_the_rounds_base(monkeypatch):
@@ -606,15 +817,7 @@ def test_solved_rounds_reach_blands_level_counts(monkeypatch):
     # steepest edge enters a non-degenerate column where it can, so it may
     # stop at another optimal corner of a tie than Bland's rule, but each
     # solved round's selection must count as many columns at every level
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    import workloads
-
-    matrix = synthetic_qos_matrix(seed=1)
-    scenarios = [
-        workloads.generate(workloads.WORKLOADS[name], matrix, 1, index)[1]
-        for name, count in (("ladder4500", 24), ("rounds40", 14), ("small-oracle", 300))
-        for index in range(count)
-    ]
+    scenarios = _workload_scenarios(monkeypatch, (("ladder4500", 24), ("rounds40", 14), ("small-oracle", 300)))
     for builder in (random_scenario, grid_scenario, fine_grid_scenario):
         scenarios += feasible_scenarios(builder, 40, seed=0)
     solved = 0

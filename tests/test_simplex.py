@@ -14,6 +14,7 @@ from fairselect import (
 )
 from fairselect.simplex import DEGENERATE_RHS, EPS_FEAS, EXACT_PRICE_TOL, _deciding, _pivot, _Tableau
 from fairselect.simplex import BlockEntries, _phase_one
+import fairselect.simplex as simplex_module
 
 
 def lp(objective, rows, **kw):
@@ -343,14 +344,16 @@ class _CheckedTableau(_Tableau):
     """Asserts, at every entering-column choice of run, that the maintained state is fresh.
 
     Kept edge weights must equal 1 + the column sums of the squared
-    constraint entries exactly, and the chosen column must be the
-    row-by-row reference's on the current tableau, so the edge lengths it
-    weighs are the current ones.
+    constraint entries exactly; each kept non-degeneracy answer must be a
+    fresh read of its column under the degenerate rows it was kept for;
+    and the chosen column must be the row-by-row reference's on the
+    current tableau, so the edge lengths it weighs are the current ones.
     """
 
     checked_rows = range(0)
     checks = 0
     kept_checks = 0
+    kept_answers = 0  # choices made while some answer was kept from an earlier one
 
     def _select(self, level, value):
         fresh_level, fresh_value = _deciding(self._cost_block(self.checked_rows), self.price_tol)
@@ -360,6 +363,11 @@ class _CheckedTableau(_Tableau):
             fresh_weights = 1.0 + np.square(self.T[: self.m, : self.n_price]).sum(axis=0)
             assert np.array_equal(self.weights, fresh_weights)
             self.kept_checks += 1
+        if self._answers is not None:
+            known = np.flatnonzero(self._answers >= 0)
+            fresh = (self.T[self._answer_rows[:, None], known] > EPS_FEAS).any(axis=0)
+            assert np.array_equal(self._answers[known] == 1, fresh)
+            self.kept_answers += known.size > 0
         chosen = super()._select(level, value)
         assert chosen == row_by_row_entering(
             self.T, self.m, self.n_price, self.checked_rows, self.rule, self.price_tol
@@ -441,6 +449,71 @@ def test_kept_weights_equal_fresh_sums_after_every_pivot(tab):
     assert status in ("optimal", "unbounded")
     assert tab.kept_checks == tab.checks == tab.iterations + 1
     assert tab.weights is None  # they describe one run's tableau only
+
+
+@st.composite
+def degenerate_tableaus(draw):
+    """Slack-basis tableaus with two or more zero right-hand sides and many tied candidates.
+
+    Small cost entries over few levels tie often, and zero right-hand
+    sides make most candidates degenerate, so the non-degeneracy check
+    goes past its first chunk when that holds one column.
+    """
+    tol = draw(st.sampled_from([EPS_FEAS, EXACT_PRICE_TOL]))
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(3, 10))
+    A = np.array(draw(cells([-1.0, 0.0, 1.0, 1.0, 2.0], m * n))).reshape(m, n)
+    b = np.array(draw(cells([0.0, 1.0, 2.0], m)))
+    b[draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=m, unique=True))] = 0.0
+    levels = draw(st.integers(1, 3))
+    costs = np.array(draw(cells([-2.0, -1.0, -1.0, 0.0, 1.0], levels * n))).reshape(levels, n)
+    tab = _CheckedTableau(BlockEntries.of(A), b, n + m, n + np.arange(m), costs, tol, np.arange(m))
+    tab.checked_rows = range(levels)
+    return tab
+
+
+@given(degenerate_tableaus())
+def test_kept_answers_choose_the_row_by_row_column(tab):
+    # a first chunk of one column sends every choice among ties to the
+    # kept answers, which _CheckedTableau checks against fresh reads
+    with mock.patch.object(simplex_module, "CHUNK_ENTRIES", 1):
+        try:
+            status = tab.run(tab.checked_rows, max_iters=1000)
+        except InvariantError:
+            # as in test_incremental_pricing_never_drifts: fractional entries
+            # can make the exact tolerance cycle; every pivot was checked
+            assert tab.price_tol == EXACT_PRICE_TOL
+            assert tab.checks == tab.iterations
+        else:
+            assert status in ("optimal", "unbounded")
+            assert tab.checks == tab.iterations + 1
+    assert tab._answers is None  # they describe one run's tableau only
+
+
+def test_kept_answers_follow_the_degenerate_rows():
+    # columns 0 and 2 sit in row 0, column 1 in row 1; past a first chunk
+    # of one column, column 1's kept answer must be read again whenever
+    # row 1 leaves or enters the degenerate set
+    A = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    tab = _Tableau(BlockEntries.of(A), np.zeros(2), 5, [3, 4], np.zeros((1, 3)), EXACT_PRICE_TOL, [0, 1])
+    order = np.array([0, 1, 2])
+    rhs = tab.T[:2, tab.n_cols]
+    with mock.patch.object(simplex_module, "CHUNK_ENTRIES", 1):
+        assert tab._first_nondegenerate(order) == 0  # every column is degenerate
+        rhs[1] = 1.0  # row 1 leaves: column 1 moves
+        assert tab._first_nondegenerate(order) == 1
+        rhs[1] = 0.0  # row 1 enters again: column 1 cannot
+        assert tab._first_nondegenerate(order) == 0
+
+
+def test_a_one_time_pass_keeps_no_answers():
+    # _entering prices outside run, whose pivots alone mark changed columns
+    costs = np.array([[-1.0, -1.0, -1.0]])
+    A = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
+    tab = _Tableau(BlockEntries.of(A), np.zeros(2), 5, [3, 4], costs, EXACT_PRICE_TOL, [0, 1])
+    with mock.patch.object(simplex_module, "CHUNK_ENTRIES", 1):
+        assert tab._entering(range(1)) == 0  # every candidate is degenerate
+    assert tab._answers is None
 
 
 def test_a_non_degenerate_column_enters_before_a_steeper_degenerate_one():
